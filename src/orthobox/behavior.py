@@ -73,9 +73,6 @@ class BehaviorTable:
     def parties(self) -> int:
         return len(self.settings)
 
-    def prob(self, combo: tuple[Setting, ...], outs: tuple[Outcome, ...]) -> Fraction:
-        return self.table[combo].get(tuple(outs), Fraction(0))
-
     def marginal(self, party: int, combo: tuple[Setting, ...]) -> dict[Outcome, Fraction]:
         dist: dict[Outcome, Fraction] = {o: Fraction(0) for o in self.outcomes[party]}
         for outs, p in self.table[combo].items():

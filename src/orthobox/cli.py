@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -38,6 +39,7 @@ from .models import (
     InadmissibleQuery,
     InconsistentHistory,
     enumerate_histories,
+    group_histories,
     history_signature,
     load_plan,
     make_model,
@@ -56,7 +58,6 @@ from .rng import SplitMix64
 from .scenario import (
     ScenarioError,
     find_all_minimal_non_specker,
-    is_specker,
     load_scenario_file,
     orthogonality_graph,
 )
@@ -107,11 +108,12 @@ def cmd_check(args) -> int:
     print(f"scenario: {path.stem} ({len(scenario.propositions)} propositions)")
     graph = orthogonality_graph(scenario)
     print(f"orthogonality graph: {graph.number_of_edges()} edges")
-    specker = is_specker(scenario)
+    # Non-Specker exactly when some pairwise-orthogonal set is minimally non-joint.
+    minimal = find_all_minimal_non_specker(scenario)
+    specker = not minimal
     print(f"pairwise-implies-joint: {'YES' if specker else 'NO'}")
     # With marginals the verdict is about them; bare structure fails on its own.
     failed = not specker and marginals is None
-    minimal = find_all_minimal_non_specker(scenario)
     if minimal:
         chosen = minimal[0]
         print(f"minimal non-Specker set: {{{','.join(chosen)}}}")
@@ -188,21 +190,11 @@ def cmd_simulate(args) -> int:
     plan_path = _resolve_input("plans", args.plan, ".plan")
     plan = load_plan(plan_path)
     histories = enumerate_histories(model, plan)
-    grouped: dict[tuple, Fraction] = {}
-    forbidden_sigs = set()
-    for h in histories:
-        sig = history_signature(h, model)
-        grouped[sig] = grouped.get(sig, Fraction(0)) + h.probability
-        if h.forbidden:
-            forbidden_sigs.add(sig)
-
-    counts: dict[tuple, int] = {}
-    if args.trials:
-        rng = SplitMix64(args.seed)
-        for _ in range(args.trials):
-            h = sample_history(model, plan, rng)
-            sig = history_signature(h, model)
-            counts[sig] = counts.get(sig, 0) + 1
+    grouped = group_histories(model, histories)
+    rng = SplitMix64(args.seed)
+    counts = Counter(
+        history_signature(sample_history(model, plan, rng), model) for _ in range(args.trials)
+    )
 
     print(f"model: {model.name}" + (f" ({args.flavor})" if args.model == "firefly" else ""))
     print(f"plan: {plan_path.stem} ({len(histories)} branches, {len(grouped)} distinct outcomes)")
@@ -212,9 +204,9 @@ def cmd_simulate(args) -> int:
     print(header)
     for sig in sorted(grouped, key=str):
         rendered = " ".join(f"{side}:{target}={key}" for side, target, key in sig)
-        mark = "  [forbidden]" if sig in forbidden_sigs else ""
+        mark = "  [forbidden]" if any(key == "forbidden" for _, _, key in sig) else ""
         if args.trials:
-            freq = counts.get(sig, 0) / args.trials
+            freq = counts[sig] / args.trials
             print(f"{format_rational(grouped[sig]):>11}  {freq:<17.6f}  {rendered}{mark}")
         else:
             print(f"{format_rational(grouped[sig]):>11}  {rendered}{mark}")
@@ -311,9 +303,7 @@ def cmd_pr_boxes(args) -> int:
     print(f"matches a canonical box: {'yes' if is_pr_box(box) else 'NO'}")
     if args.model in ("seer", "firefly"):
         sweep = sweep_pr_interpretations(model)
-        seen: dict[str, int] = {}
-        for _, swept in sweep:
-            seen[box_to_json(swept)] = seen.get(box_to_json(swept), 0) + 1
+        seen = Counter(box_to_json(swept) for _, swept in sweep)
         all_pr = all(is_pr_box(b) for _, b in sweep)
         print(
             f"sweep over {len(sweep)} interpretations: {len(seen)} distinct boxes, "
@@ -378,6 +368,13 @@ def cmd_quantum_ref(args) -> int:
     return 1
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthobox",
@@ -402,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", choices=("seer", "firefly", "lsw"))
     p.add_argument("--plan", required=True, help="plan file (bundled: fable, lsw_collapse, firefly_ca_bc)")
     p.add_argument("--flavor", default="mirror", help="firefly flavor")
-    p.add_argument("--trials", type=int, default=0, help="also sample this many runs")
+    p.add_argument("--trials", type=nonnegative_int, default=0, help="also sample this many runs")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fable", parents=[seeded], help="run the prophecy game on the retrocausal boxes")
@@ -422,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pr_boxes)
 
     p = sub.add_parser("quantum-ref", parents=[seeded], help="run the complex-matrix reference checks")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=nonnegative_int, default=100)
     p.add_argument("--csv", help="write check results to this path")
     p.set_defaults(func=cmd_quantum_ref)
 

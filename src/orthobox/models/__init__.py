@@ -21,9 +21,11 @@ from .base import (
     Session,
     enumerate_histories,
     exact_distribution,
+    group_histories,
     history_signature,
     load_plan,
     parse_plan,
+    plan_steps,
     sample_history,
 )
 from .firefly import FLAVORS, FireflyModel
@@ -69,9 +71,11 @@ __all__ = [
     "Session",
     "enumerate_histories",
     "exact_distribution",
+    "group_histories",
     "history_signature",
     "load_plan",
     "make_model",
     "parse_plan",
+    "plan_steps",
     "sample_history",
 ]

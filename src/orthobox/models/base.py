@@ -12,11 +12,11 @@ Distinct sessions are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from itertools import product
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..rng import SplitMix64
 
@@ -24,6 +24,7 @@ ALICE, BOB = "alice", "bob"
 SIDES = (ALICE, BOB)
 BOXES = ("A", "B", "C")
 PAIRS = ("AB", "BC", "CA")
+TARGETS = BOXES + PAIRS
 
 Outcome = tuple[tuple[str, bool], ...]
 
@@ -36,16 +37,10 @@ class InadmissibleQuery(ValueError):
     """The model does not offer this measurement."""
 
 
-def normalize_target(target: str) -> str:
-    """Canonical target names: single boxes A/B/C, pairs AB/BC/CA."""
-    boxes = tuple(target)
-    if len(boxes) == 1 and boxes[0] in BOXES:
-        return target
-    if len(boxes) == 2:
-        for pair in PAIRS:
-            if set(pair) == set(boxes):
-                return pair
-    raise InadmissibleQuery(f"unknown target {target!r}")
+# Every accepted spelling of a target, mapped to its canonical name.
+_SPELLINGS = {**{t: t for t in TARGETS}, **{p[::-1]: p for p in PAIRS}}
+# Outcome keys of box-content queries, by number of boxes, in target order.
+_CONTENT_KEYS = {n: tuple(map(",".join, product(("full", "empty"), repeat=n))) for n in (1, 2)}
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,9 @@ class Query:
     def __post_init__(self):
         if self.side not in SIDES:
             raise InadmissibleQuery(f"unknown side {self.side!r}")
-        object.__setattr__(self, "target", normalize_target(self.target))
+        if self.target not in _SPELLINGS:
+            raise InadmissibleQuery(f"unknown target {self.target!r}")
+        object.__setattr__(self, "target", _SPELLINGS[self.target])
 
     @property
     def boxes(self) -> tuple[str, ...]:
@@ -65,12 +62,6 @@ class Query:
     @property
     def is_pair(self) -> bool:
         return len(self.target) == 2
-
-
-@lru_cache(maxsize=None)
-def _query(side: str, target: str) -> Query:
-    # Queries are small value objects; plans reuse the same few constantly.
-    return Query(side, target)
 
 
 class Model:
@@ -83,11 +74,13 @@ class Model:
         raise NotImplementedError
 
     def admissible_targets(self, side: str) -> tuple[str, ...]:
-        raise NotImplementedError
+        """Targets this side may query: every box and every pair unless overridden."""
+        return TARGETS
 
     def step(self, state, query: Query) -> list[tuple[Outcome, object, Fraction]]:
-        """All branches for one query; raises InconsistentHistory when the
-        query cannot be answered consistently."""
+        """All branches for one admissible query, each outcome listing the
+        target's boxes in target order; raises InconsistentHistory when the
+        query cannot be answered consistently.  Callers check admissibility."""
         raise NotImplementedError
 
     def outcome_key(self, query: Query, outcome: Outcome) -> str:
@@ -96,15 +89,35 @@ class Model:
         Box contents read "full"/"empty", joined by commas in target order;
         glow-based models override this to name the glowing corner.
         """
-        values = dict(outcome)
-        words = ["full" if values[b] else "empty" for b in query.boxes]
-        return ",".join(words)
+        return ",".join("full" if value else "empty" for _, value in outcome)
+
+    def outcome_keys(self, query: Query) -> tuple[str, ...]:
+        """Every key ``outcome_key`` can give for this query."""
+        return _CONTENT_KEYS[len(query.target)]
 
     def check_admissible(self, query: Query) -> None:
         if query.target not in self.admissible_targets(query.side):
             raise InadmissibleQuery(
                 f"{self.name} does not admit target {query.target!r} on side {query.side}"
             )
+
+    def box_by_box(self, state, query: Query, resolve) -> list[tuple[Outcome, object, Fraction]]:
+        """Branches of a query whose boxes commit one at a time, in target order;
+        ``resolve(state, side_index, box, query)`` lists (value, state, p) per box."""
+        side_index = 0 if query.side == ALICE else 1
+        branches: list[tuple[Outcome, object, Fraction]] = [((), state, Fraction(1))]
+        for box in query.target:
+            branches = [
+                (outcome + ((box, value),), next_state, prob * p)
+                for outcome, st, prob in branches
+                for value, next_state, p in resolve(st, side_index, box, query)
+            ]
+        return branches
+
+
+def _draw(rng: SplitMix64, branches: list[tuple[Outcome, object, Fraction]]):
+    """One ``(outcome, next_state, probability)`` branch, drawn by its weight."""
+    return rng.choice_weighted([(branch, branch[2]) for branch in branches])
 
 
 class Session:
@@ -114,16 +127,10 @@ class Session:
         self.model = model
         self.rng = rng if isinstance(rng, SplitMix64) else SplitMix64(rng)
         self.state = self.rng.choice_weighted(model.initial_states())
-        self.history: list[tuple[Query, Outcome]] = []
 
-    def measure(self, side: str, target: str) -> Outcome:
-        query = _query(side, target)
+    def measure(self, query: Query) -> Outcome:
         self.model.check_admissible(query)
-        branches = self.model.step(self.state, query)
-        outcome, self.state = self.rng.choice_weighted(
-            [((o, s), p) for o, s, p in branches]
-        )
-        self.history.append((query, outcome))
+        outcome, self.state, _ = _draw(self.rng, self.model.step(self.state, query))
         return outcome
 
 
@@ -132,9 +139,18 @@ class Session:
 
 @dataclass(frozen=True)
 class PlanStep:
+    """One query of a plan, with follow-up steps per outcome key; building it
+    validates the query (kept as ``query``) and the keys' uniqueness once."""
+
     side: str
     target: str
     branches: tuple[tuple[str, tuple["PlanStep", ...]], ...] = ()
+    query: Query = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "query", Query(self.side, self.target))
+        if len(dict(self.branches)) < len(self.branches):
+            raise InadmissibleQuery(f"duplicate branch key under {self.side} {self.target}")
 
     def substeps(self, key: str) -> tuple["PlanStep", ...]:
         for k, steps in self.branches:
@@ -144,6 +160,14 @@ class PlanStep:
 
 
 Plan = tuple[PlanStep, ...]
+
+
+def plan_steps(plan: Iterable[PlanStep]) -> Iterator[PlanStep]:
+    """Every step of a plan tree, depth first, unreachable ones included."""
+    for step in plan:
+        yield step
+        for _, sub in step.branches:
+            yield from plan_steps(sub)
 
 
 def parse_plan(text: str, source: str = "<plan>") -> Plan:
@@ -158,6 +182,12 @@ def parse_plan(text: str, source: str = "<plan>") -> Plan:
         if indent % 2:
             raise ValueError(f"{source}:{lineno}: indentation must be a multiple of two spaces")
         rows.append((lineno, indent // 2, stripped.strip()))
+
+    def make_step(lineno: int, side: str, target: str, branches=()) -> PlanStep:
+        try:
+            return PlanStep(side, target, tuple(branches))
+        except InadmissibleQuery as exc:
+            raise ValueError(f"{source}:{lineno}: {exc}") from exc
 
     def parse_steps(pos: int, level: int) -> tuple[list[PlanStep], int]:
         steps: list[PlanStep] = []
@@ -186,19 +216,11 @@ def parse_plan(text: str, source: str = "<plan>") -> Plan:
                     bparts = tail.strip().split()
                     if len(bparts) != 2:
                         raise ValueError(f"{source}:{blineno}: expected 'side target' after ':'")
-                    try:
-                        Query(bparts[0], bparts[1])
-                    except InadmissibleQuery as exc:
-                        raise ValueError(f"{source}:{blineno}: {exc}") from exc
-                    sub = [PlanStep(bparts[0], bparts[1])]
+                    sub = [make_step(blineno, *bparts)]
                 else:
                     sub, pos = parse_steps(pos, level + 2)
                 branches.append((key, tuple(sub)))
-            try:
-                Query(side, target)
-            except InadmissibleQuery as exc:
-                raise ValueError(f"{source}:{lineno}: {exc}") from exc
-            steps.append(PlanStep(side, target, tuple(branches)))
+            steps.append(make_step(lineno, side, target, branches))
         return steps, pos
 
     steps, pos = parse_steps(0, 0)
@@ -210,15 +232,6 @@ def parse_plan(text: str, source: str = "<plan>") -> Plan:
 def load_plan(path: str | Path) -> Plan:
     path = Path(path)
     return parse_plan(path.read_text(), source=path.name)
-
-
-def _check_step(model: Model, step: PlanStep) -> None:
-    # PlanStep holds raw side/target strings; validate through Query.
-    query = _query(step.side, step.target)
-    model.check_admissible(query)
-    for _, sub in step.branches:
-        for s in sub:
-            _check_step(model, s)
 
 
 @dataclass(frozen=True)
@@ -235,71 +248,79 @@ class History:
     forbidden: bool = False
 
 
-def enumerate_histories(model: Model, plan: Iterable[PlanStep]) -> list[History]:
-    """Exhaustive branch enumeration over hidden variables and outcomes."""
-    plan = tuple(plan)
-    for step in plan:
-        _check_step(model, step)
+def _walk(model: Model, plan: Iterable[PlanStep], rng: SplitMix64 | None = None) -> list[History]:
+    """The one plan walker.  Without ``rng`` it follows every nonzero branch
+    of the prior and of each step; with ``rng`` it follows one drawn branch
+    of each, checking each query as it is reached, into one history of weight 1."""
     results: list[History] = []
 
-    def walk(state, queue: tuple[PlanStep, ...], prob: Fraction, trail: tuple):
+    def visit(state, queue: tuple[PlanStep, ...], prob: Fraction, trail: tuple) -> None:
         if not queue:
             results.append(History(trail, prob))
             return
         step, rest = queue[0], queue[1:]
-        query = _query(step.side, step.target)
+        query = step.query
+        if rng is not None:
+            model.check_admissible(query)
         try:
             branches = model.step(state, query)
         except InconsistentHistory:
             results.append(History(trail + ((query, None),), prob, forbidden=True))
             return
+        if rng is not None:
+            branches = (_draw(rng, branches),)
         for outcome, next_state, p in branches:
-            if p == 0:
-                continue
-            key = model.outcome_key(query, outcome)
-            walk(next_state, step.substeps(key) + rest, prob * p, trail + ((query, outcome),))
+            if p:
+                key = model.outcome_key(query, outcome)
+                next_prob = prob if rng is not None else prob * p
+                visit(next_state, step.substeps(key) + rest, next_prob, trail + ((query, outcome),))
 
-    for state, prior in model.initial_states():
-        if prior != 0:
-            walk(state, plan, prior, ())
+    initial = model.initial_states()
+    if rng is not None:
+        initial = ((rng.choice_weighted(initial), Fraction(1)),)
+    for state, prior in initial:
+        if prior:
+            visit(state, tuple(plan), prior, ())
     return results
 
 
-def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:
-    """One seeded run of a plan; forbidden queries yield a flagged history."""
+def enumerate_histories(model: Model, plan: Iterable[PlanStep]) -> list[History]:
+    """Exhaustive branch enumeration over hidden variables and outcomes, after
+    checking every step's query and branch keys, unreachable steps included."""
     plan = tuple(plan)
-    session = Session(model, rng)
-    queue = list(plan)
-    trail: list[tuple[Query, Outcome | None]] = []
-    while queue:
-        step = queue.pop(0)
-        query = _query(step.side, step.target)
-        try:
-            outcome = session.measure(step.side, step.target)
-        except InconsistentHistory:
-            trail.append((query, None))
-            return History(tuple(trail), Fraction(1), forbidden=True)
-        trail.append((query, outcome))
-        key = session.model.outcome_key(query, outcome)
-        queue[:0] = list(step.substeps(key))
-    return History(tuple(trail), Fraction(1))
+    for step in plan_steps(plan):
+        query = step.query
+        model.check_admissible(query)
+        for key, _ in step.branches:
+            if key not in model.outcome_keys(query):
+                outcomes = "; ".join(model.outcome_keys(query))
+                raise InadmissibleQuery(f"{query.side} {query.target} has no outcome {key!r} ({outcomes})")
+    return _walk(model, plan)
+
+
+def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:
+    """One seeded run of a plan: one draw for the hidden state, then one per
+    visited step; forbidden queries yield a flagged history."""
+    return _walk(model, plan, rng)[0]
 
 
 def history_signature(history: History, model: Model) -> tuple:
     """Hashable label for grouping sampled and enumerated histories."""
-    parts = []
-    for query, outcome in history.steps:
-        if outcome is None:
-            parts.append((query.side, query.target, "forbidden"))
-        else:
-            parts.append((query.side, query.target, model.outcome_key(query, outcome)))
-    return tuple(parts)
+    return tuple(
+        (query.side, query.target, "forbidden" if outcome is None else model.outcome_key(query, outcome))
+        for query, outcome in history.steps
+    )
+
+
+def group_histories(model: Model, histories: Iterable[History]) -> dict[tuple, Fraction]:
+    """Signature -> total probability of the histories carrying it."""
+    dist: dict[tuple, Fraction] = {}
+    for history in histories:
+        sig = history_signature(history, model)
+        dist[sig] = dist.get(sig, Fraction(0)) + history.probability
+    return dist
 
 
 def exact_distribution(model: Model, plan: Iterable[PlanStep]) -> dict[tuple, Fraction]:
     """Signature -> exact probability over a complete enumeration."""
-    dist: dict[tuple, Fraction] = {}
-    for history in enumerate_histories(model, plan):
-        sig = history_signature(history, model)
-        dist[sig] = dist.get(sig, Fraction(0)) + history.probability
-    return dist
+    return group_histories(model, enumerate_histories(model, plan))

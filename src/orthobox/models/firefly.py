@@ -102,6 +102,9 @@ class FireflyModel(Model):
         glowing = [box for box, lit in outcome if lit]
         return glowing[0]
 
+    def outcome_keys(self, query: Query) -> tuple[str, ...]:
+        return tuple(query.target)
+
     def check_admissible(self, query: Query) -> None:
         if not query.is_pair:
             raise InadmissibleQuery(
@@ -110,7 +113,6 @@ class FireflyModel(Model):
         super().check_admissible(query)
 
     def step(self, state: FireflyState, query: Query):
-        self.check_admissible(query)
         mine = state.alice if query.side == "alice" else state.bob
         glow = nearest_corner(mine, query.target)
         outcome: Outcome = tuple((box, box == glow) for box in query.boxes)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import BOXES, Model, Outcome, PAIRS, Query
+from .base import BOXES, Model, Query
 
 
 @dataclass(frozen=True)
@@ -38,27 +38,10 @@ class LswModel(Model):
     def initial_states(self):
         return [(LswState(None), Fraction(1))]
 
-    _TARGETS = BOXES + PAIRS
-
-    def admissible_targets(self, side: str):
-        return self._TARGETS
-
     def step(self, state: LswState, query: Query):
-        side_index = 0 if query.side == "alice" else 1
-        branches = [(state, Fraction(1), ())]
-        for box in query.boxes:
-            grown = []
-            for st, prob, values in branches:
-                for value, st2, p in self._measure_one(st, side_index, box):
-                    grown.append((st2, prob * p, values + (value,)))
-            branches = grown
-        out = []
-        for st, prob, values in branches:
-            outcome: Outcome = tuple(zip(query.boxes, values))
-            out.append((outcome, st, prob))
-        return out
+        return self.box_by_box(state, query, self._measure_one)
 
-    def _measure_one(self, state: LswState, side_index: int, box: str):
+    def _measure_one(self, state: LswState, side_index: int, box: str, query: Query):
         if state.vectors is None:
             results = []
             for value in (True, False):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .base import BOXES, InconsistentHistory, Model, Outcome, PAIRS, Query
+from .base import BOXES, InconsistentHistory, Model, PAIRS, Query
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,8 @@ class SeerModel(Model):
     def initial_states(self):
         return [(SeerState((), ((), ())), Fraction(1))]
 
-    _TARGETS = BOXES + PAIRS
-
-    def admissible_targets(self, side: str):
-        return self._TARGETS
-
     def step(self, state: SeerState, query: Query):
-        self.check_admissible(query)
-        side_index = 0 if query.side == "alice" else 1
-        branches = [(state, Fraction(1), ())]
-        for box in query.boxes:
-            grown = []
-            for st, prob, values in branches:
-                for value, st2, p in self._resolve(st, side_index, box, query):
-                    grown.append((st2, prob * p, values + (value,)))
-            branches = grown
-        out = []
-        for st, prob, values in branches:
-            outcome: Outcome = tuple(zip(query.boxes, values))
-            out.append((outcome, st, prob))
-        return out
+        return self.box_by_box(state, query, self._resolve)
 
     def _pair_partner(self, opened: tuple[str, ...], box: str, query: Query) -> str | None:
         """The other member of this side's constrained pair, if the box is in it."""

@@ -21,19 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .behavior import PLUS, MINUS, BehaviorTable
 from .models import (
     ALICE,
     BOB,
     BOXES,
+    PAIRS,
     Model,
     PlanStep,
     Query,
     Session,
     enumerate_histories,
     make_model,
+    plan_steps,
 )
 from .rng import SplitMix64
 
@@ -156,16 +158,9 @@ class Witness:
     def describe(self) -> str:
         if not self.plan:
             return self.claim
-        steps = "; ".join(f"{s.side} {s.target}" for s in _flatten(self.plan))
+        steps = "; ".join(f"{s.side} {s.target}" for s in plan_steps(self.plan))
         text = f"{self.claim} under plan [{steps}]"
         return f"{text} ({self.detail})" if self.detail else text
-
-
-def _flatten(plan: Iterable[PlanStep]):
-    for step in plan:
-        yield step
-        for _, sub in step.branches:
-            yield from _flatten(sub)
 
 
 class AssumptionVerdict(NamedTuple):
@@ -229,7 +224,7 @@ def test_assumption_a(model: Model) -> AssumptionVerdict:
                 for box, value in outcome:
                     if value:
                         totals[box] = totals.get(box, Fraction(0)) + history.probability
-            for box in Query(side, target).boxes:
+            for box in plan[0].query.boxes:
                 p = totals.get(box, Fraction(0))
                 if not 0 < p < 1:
                     return AssumptionVerdict(
@@ -372,26 +367,27 @@ def simulate_fable(trials: int, seed: int = 0, keep_rows: bool = False) -> Fable
     sandu_first_ok = 0
     sandu_second_ok = 0
     rows = []
-    pairs = ("AB", "BC", "CA")
     model = make_model("seer")
+    sandu = {box: Query(ALICE, box) for box in BOXES}
+    daniel = {pair: Query(BOB, pair) for pair in PAIRS}
     for trial in range(trials):
         session = Session(model, rng)
-        daniel_pair = pairs[rng.randrange(3)]
+        daniel_pair = PAIRS[rng.randrange(3)]
         full_box = daniel_pair[rng.randrange(2)]
         empty_box = daniel_pair.replace(full_box, "")
         third = next(b for b in BOXES if b not in daniel_pair)
 
         sandu_guess_full = rng.randrange(2) == 0
-        third_outcome = dict(session.measure(ALICE, third))[third]
+        third_outcome = dict(session.measure(sandu[third]))[third]
         first_ok = sandu_guess_full == third_outcome
 
         # A full leftover box forces his next box empty, and vice versa.
         second_box = empty_box if third_outcome else full_box
         predicted = not third_outcome
-        second_outcome = dict(session.measure(ALICE, second_box))[second_box]
+        second_outcome = dict(session.measure(sandu[second_box]))[second_box]
         second_ok = second_outcome == predicted
 
-        daniel_outcome = dict(session.measure(BOB, daniel_pair))
+        daniel_outcome = dict(session.measure(daniel[daniel_pair]))
         this_daniel_ok = daniel_outcome[full_box] and not daniel_outcome[empty_box]
 
         daniel_ok += this_daniel_ok
@@ -442,9 +438,8 @@ def realize_pr_box(model: Model, interpretation: Interpretation | None = None) -
         interpretation = DEFAULT_PAIR_INTERPRETATION
     for party, side in enumerate((ALICE, BOB)):
         for target, box in interpretation[party]:
-            query = Query(side, target)
-            model.check_admissible(query)
-            if box not in query.boxes:
+            # Admissibility is checked when the plans are enumerated.
+            if box not in Query(side, target).boxes:
                 raise ValueError(f"box {box} is not part of target {target}")
 
     table: dict[tuple[str, str], dict[tuple[int, int], Fraction]] = {}

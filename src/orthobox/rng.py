@@ -35,13 +35,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
 
-    def fraction(self) -> Fraction:
-        """Uniform draw in [0, 1) with denominator 2**64."""
-        return Fraction(self.next_u64(), 1 << 64)
-
-    def bernoulli(self, p: Fraction) -> bool:
-        return self.fraction() < p
-
     def choice_weighted(self, options: Sequence[tuple[T, Fraction]]) -> T:
         """Pick an option by its exact rational weight (weights must sum to 1)."""
         # u/2**64 < acc compared in integers to avoid Fraction churn.

@@ -164,9 +164,6 @@ class MarginalVector:
     def __getitem__(self, label: Label) -> Fraction:
         return self.values[label]
 
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(self.values)
-
     def validate_for(self, scenario: OrthoScenario) -> None:
         """Check coverage and the pairwise bound p_i + p_j <= 1 on orthogonal pairs."""
         missing = set(scenario.propositions) - set(self.values)

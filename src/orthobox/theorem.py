@@ -148,19 +148,17 @@ def worst_case_params(t: TripleMarginals) -> AlphaBeta:
 def signalling_gap(t: TripleMarginals) -> Fraction:
     """How far Alice can pull Bob's p(A1=1) below p1, against the worst-case
     conditionals; strictly positive whenever all three marginals are."""
-    p1, p2, p3 = t
-    worst = worst_case_params(t)
-    bob_p1 = p3 * Fraction(0) + (1 - p3) * case_marginals(t, _mirror_ab(t), worst).case_iv[0]
-    gap = p1 - bob_p1
-    assert gap > 0
+    return _gap(t, worst_case_params(t))
+
+
+def _gap(t: TripleMarginals, worst: AlphaBeta) -> Fraction:
+    # Alice finds A3 = 1 (weight p3) and measures A1, leaving Bob's A1 at 0;
+    # she finds A3 = 0 (weight 1 - p3) and measures A2, leaving case iv's
+    # beta * (1 - p2 - p3) / (1 - p3).  So Bob's p(A1=1) is beta * (1 - p2 - p3).
+    gap = t.p1 - worst.beta * (1 - t.p2 - t.p3)
+    if gap <= 0:
+        raise TheoremError(f"signalling gap {format_rational(gap)} is not positive")
     return gap
-
-
-def _mirror_ab(t: TripleMarginals) -> AlphaBeta:
-    # Any constraint-satisfying pair works for the (2,1,3) slot when only the
-    # A1 column is read; use the outcome-independent one.
-    value = t.p2 / (1 - t.p1)
-    return AlphaBeta(value, value, (2, 1, 3))
 
 
 class SweepRow(NamedTuple):
@@ -193,7 +191,7 @@ def sweep_gap(denominator: int) -> list[SweepRow]:
     rows = []
     for t in valid_grid(denominator):
         worst = worst_case_params(t)
-        gap = signalling_gap(t)
+        gap = _gap(t, worst)
         rows.append(SweepRow(t.p1, t.p2, t.p3, worst.beta, worst.alpha, t.p1 - gap, gap))
     return rows
 

@@ -23,6 +23,7 @@ from orthobox.behavior import (
 from orthobox.models import (
     InconsistentHistory,
     PlanStep,
+    Query,
     Session,
     enumerate_histories,
     exact_distribution,
@@ -266,12 +267,12 @@ def test_criterion_09_grandfather_consistency():
     raised = False
     for seed in range(200):
         session = Session(model, SplitMix64(seed))
-        a = dict(session.measure("bob", "A"))["A"]
-        b = dict(session.measure("alice", "B"))["B"]
+        a = dict(session.measure(Query("bob", "A")))["A"]
+        b = dict(session.measure(Query("alice", "B")))["B"]
         if a and not b:
-            session.measure("bob", "C")
+            session.measure(Query("bob", "C"))
             try:
-                session.measure("alice", "C")
+                session.measure(Query("alice", "C"))
             except InconsistentHistory:
                 raised = True
                 break

@@ -89,6 +89,39 @@ class TestSimulate:
                            "--trials", "100", "--seed", "9")
         assert first == second
 
+    def test_impossible_branch_key_is_input_error(self, capsys, tmp_path):
+        plan = tmp_path / "typo.plan"
+        plan.write_text("alice AB\n  on ful,empty: bob C\n")
+        code, out, err = run(capsys, "simulate", "seer", "--plan", str(plan))
+        assert code == 2
+        assert out == ""
+        assert "'ful,empty'" in err
+
+    def test_duplicate_branch_key_is_input_error(self, capsys, tmp_path):
+        plan = tmp_path / "dup.plan"
+        plan.write_text("alice C\n  on full: bob A\n  on full: bob B\n")
+        code, _, err = run(capsys, "simulate", "lsw", "--plan", str(plan), "--trials", "10")
+        assert code == 2
+        assert "duplicate" in err
+
+    def test_negative_trials_rejected(self, capsys):
+        for argv in (
+            ["simulate", "seer", "--plan", "fable", "--trials", "-5"],
+            ["quantum-ref", "--trials", "-3"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "at least 0" in captured.err
+
+    def test_zero_trials_means_exact_only(self, capsys):
+        _, exact, _ = run(capsys, "simulate", "lsw", "--plan", "lsw_collapse")
+        code, zero, _ = run(capsys, "simulate", "lsw", "--plan", "lsw_collapse", "--trials", "0")
+        assert code == 0
+        assert zero == exact
+
     def test_inadmissible_plan_is_input_error(self, capsys, tmp_path):
         plan = tmp_path / "bad.plan"
         plan.write_text("alice A\n")

@@ -21,10 +21,14 @@ class TestQuery:
     def test_pair_targets_normalized(self):
         assert Query("alice", "BA").target == "AB"
         assert Query("bob", "AC").target == "CA"
+        for spelling, canonical in [("A", "A"), ("B", "B"), ("C", "C"), ("AB", "AB"),
+                                    ("BC", "BC"), ("CB", "BC"), ("CA", "CA")]:
+            assert Query("bob", spelling).target == canonical
 
     def test_unknown_target_rejected(self):
-        with pytest.raises(InadmissibleQuery):
-            Query("alice", "AD")
+        for target in ("AD", "AA", "ABC", "", "a"):
+            with pytest.raises(InadmissibleQuery):
+                Query("alice", target)
         with pytest.raises(InadmissibleQuery):
             Query("carol", "AB")
 
@@ -65,6 +69,21 @@ bob AB
     def test_unknown_target_rejected_with_location(self):
         with pytest.raises(ValueError, match=":1"):
             parse_plan("alice Q")
+        with pytest.raises(ValueError, match=":3"):
+            parse_plan("alice C\n  on full: alice B\n  on empty: carol A")
+
+    def test_step_holds_its_validated_query(self):
+        step = PlanStep("alice", "BA")
+        assert step.query == Query("alice", "AB")
+        assert step == PlanStep("alice", "BA")
+        with pytest.raises(InadmissibleQuery):
+            PlanStep("carol", "A")
+
+    def test_duplicate_branch_key_rejected(self):
+        with pytest.raises(InadmissibleQuery, match="duplicate"):
+            PlanStep("alice", "C", (("full", ()), ("full", ())))
+        with pytest.raises(ValueError, match="plan:2: duplicate"):
+            parse_plan("bob A\nalice C\n  on full: bob A\n  on full: bob B", source="plan")
 
 
 class TestEnumeration:
@@ -102,6 +121,22 @@ class TestEnumeration:
         with pytest.raises(InadmissibleQuery):
             enumerate_histories(model, parse_plan("alice A"))
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            # a typo, even under a branch no history reaches
+            ("seer", "alice C\n  on empty:\n    alice B\n      on ful: bob A"),
+            ("lsw", "alice AC\n  on empty,full: bob B\n  on full,emtpy: bob B"),
+            # firefly keys name the glowing corner of the approached side
+            ("firefly", "alice AB\n  on full,empty: bob BC"),
+            ("firefly", "alice AB\n  on C: bob BC"),
+            ("seer", "alice AB\n  on A: bob BC"),
+        ],
+    )
+    def test_impossible_branch_keys_rejected(self, name, text):
+        with pytest.raises(InadmissibleQuery):
+            enumerate_histories(make_model(name), parse_plan(text))
+
 
 class TestSampling:
     def test_session_stream_reproducible(self):
@@ -110,14 +145,14 @@ class TestSampling:
         for _ in range(2):
             session = Session(model, SplitMix64(123))
             runs.append(
-                [session.measure("alice", "AB"), session.measure("bob", "BC")]
+                [session.measure(Query("alice", "AB")), session.measure(Query("bob", "BC"))]
             )
         assert runs[0] == runs[1]
 
     def test_different_seeds_vary(self):
         model = make_model("lsw")
         outcomes = {
-            Session(model, SplitMix64(seed)).measure("alice", "A") for seed in range(16)
+            Session(model, SplitMix64(seed)).measure(Query("alice", "A")) for seed in range(16)
         }
         assert len(outcomes) == 2
 
@@ -144,6 +179,20 @@ class TestSampling:
             mean = n * float(p)
             dev = (n * float(p) * (1 - float(p))) ** 0.5
             assert abs(counts.get(sig, 0) - mean) <= 4 * dev + 1e-9
+
+    def test_sampling_checks_each_query_when_reached(self):
+        model = make_model("firefly")
+        plan = parse_plan("alice AB\n  on A: bob C")
+        rng = SplitMix64(5)
+        outcomes = set()
+        for _ in range(20):
+            try:
+                history = sample_history(model, plan, rng)
+            except InadmissibleQuery:
+                outcomes.add("A")
+            else:
+                outcomes.add(model.outcome_key(*history.steps[0]))
+        assert outcomes == {"A", "B"}
 
     def test_forbidden_branch_sampling_is_flagged(self):
         model = make_model("seer")

@@ -5,6 +5,7 @@ import pytest
 from orthobox.models import (
     InconsistentHistory,
     PlanStep,
+    Query,
     SeerModel,
     Session,
     enumerate_histories,
@@ -89,15 +90,15 @@ class TestGrandfatherConsistency:
         hit = 0
         for seed in range(40):
             session = Session(model, SplitMix64(seed))
-            a = dict(session.measure("bob", "A"))["A"]
-            b = dict(session.measure("alice", "B"))["B"]
-            session.measure("bob", "C")
+            a = dict(session.measure(Query("bob", "A")))["A"]
+            b = dict(session.measure(Query("alice", "B")))["B"]
+            session.measure(Query("bob", "C"))
             if a != b:
                 hit += 1
                 with pytest.raises(InconsistentHistory):
-                    session.measure("alice", "C")
+                    session.measure(Query("alice", "C"))
             else:
-                session.measure("alice", "C")
+                session.measure(Query("alice", "C"))
         assert hit > 0
 
 

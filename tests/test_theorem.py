@@ -172,6 +172,14 @@ class TestSignallingGap:
         with pytest.raises(TheoremError):
             TripleMarginals(Fraction(0), Fraction(1, 2), Fraction(1, 2))
 
+    def test_matches_the_four_case_protocol(self):
+        # Bob's p(A1=1) is p3 * 0 (case i/ii) plus (1 - p3) times case iv's
+        # A1 column; the (2,1,3) slot is never read, so any valid pair fills it.
+        for t in valid_grid(14):
+            mirror = t.p2 / (1 - t.p1)
+            cases = case_marginals(t, AlphaBeta(mirror, mirror, (2, 1, 3)), worst_case_params(t))
+            assert signalling_gap(t) == t.p1 - (1 - t.p3) * cases.case_iv[0]
+
 
 class TestSweep:
     def test_contains_thirds_row(self):
