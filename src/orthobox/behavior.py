@@ -15,14 +15,12 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Hashable, Mapping, NamedTuple
-
-import networkx as nx
 
 from .linprog import feasible_combination
 from .rational import check_probability, format_rational, parse_rational
-from .scenario import MarginalVector
+from .scenario import Graph, MarginalVector, cliques
 
 Outcome = Hashable
 Setting = str
@@ -92,17 +90,18 @@ class ExclusivityResult(NamedTuple):
     total: Fraction | None
 
 
-def check_exclusivity(marginals: MarginalVector, graph: nx.Graph) -> ExclusivityResult:
+def check_exclusivity(marginals: MarginalVector, graph: Graph) -> ExclusivityResult:
     """Probabilities of pairwise orthogonal propositions must sum to at most 1.
 
     Checks every maximal clique (sums over sub-cliques are dominated); on
     failure reports the lexicographically first violating maximal clique.
     """
     violations = []
-    for clique in nx.find_cliques(graph):
+    for clique in cliques(graph):
         total = sum((marginals[v] for v in clique), Fraction(0))
-        if total > 1:
-            violations.append((tuple(sorted(clique)), total))
+        # Maximal: no proposition is orthogonal to every member.
+        if total > 1 and not any(all(v in graph[u] for v in clique) for u in graph):
+            violations.append((clique, total))
     if not violations:
         return ExclusivityResult(True, None, None)
     clique, total = min(violations)
@@ -118,18 +117,14 @@ class FeasibilityCertificate(NamedTuple):
     farkas: tuple[dict[str, Fraction], Fraction] | None
 
 
-def admissible_assignments(graph: nx.Graph) -> list[frozenset]:
-    """All 0/1 assignments with no two adjacent propositions true (independent sets)."""
-    nodes = sorted(graph.nodes)
-    result = []
-    for r in range(len(nodes) + 1):
-        for subset in combinations(nodes, r):
-            if all(not graph.has_edge(a, b) for a, b in combinations(subset, 2)):
-                result.append(frozenset(subset))
-    return result
+def admissible_assignments(graph: Graph) -> list[frozenset]:
+    """All 0/1 assignments with no two adjacent propositions true (independent
+    sets, i.e. the cliques of the complement), by size and then labels."""
+    complement = {v: {u for u in graph if u != v and u not in graph[v]} for v in graph}
+    return [frozenset(s) for s in sorted(cliques(complement), key=lambda s: (len(s), s))]
 
 
-def joint_feasibility(graph: nx.Graph, marginals: MarginalVector) -> FeasibilityCertificate:
+def joint_feasibility(graph: Graph, marginals: MarginalVector) -> FeasibilityCertificate:
     """Decide whether some distribution over admissible assignments has the given marginals.
 
     Exact rational phase-1 simplex with the deterministic assignments as
@@ -137,7 +132,7 @@ def joint_feasibility(graph: nx.Graph, marginals: MarginalVector) -> Feasibility
     infeasible certificate separates the marginal vector from the admissible
     polytope.
     """
-    nodes = sorted(graph.nodes)
+    nodes = sorted(graph)
     assignments = admissible_assignments(graph)
     columns = [
         tuple(Fraction(1) if v in s else Fraction(0) for v in nodes) + (Fraction(1),)
@@ -145,10 +140,9 @@ def joint_feasibility(graph: nx.Graph, marginals: MarginalVector) -> Feasibility
     ]
     target = tuple(marginals[v] for v in nodes) + (Fraction(1),)
     solution, farkas = feasible_combination(columns, target)
-    if solution is not None:
+    if farkas is None:
         witness = {assignments[j]: w for j, w in solution.items()}
         return FeasibilityCertificate(True, witness, None)
-    assert farkas is not None
     coeffs = {v: farkas[i] for i, v in enumerate(nodes)}
     return FeasibilityCertificate(False, None, (coeffs, farkas[-1]))
 

@@ -107,7 +107,7 @@ def cmd_check(args) -> int:
     scenario, marginals = load_scenario_file(path)
     print(f"scenario: {path.stem} ({len(scenario.propositions)} propositions)")
     graph = orthogonality_graph(scenario)
-    print(f"orthogonality graph: {graph.number_of_edges()} edges")
+    print(f"orthogonality graph: {sum(map(len, graph.values())) // 2} edges")
     # Non-Specker exactly when some pairwise-orthogonal set is minimally non-joint.
     minimal = find_all_minimal_non_specker(scenario)
     specker = not minimal
@@ -190,7 +190,7 @@ def cmd_simulate(args) -> int:
     plan_path = _resolve_input("plans", args.plan, ".plan")
     plan = load_plan(plan_path)
     histories = enumerate_histories(model, plan)
-    grouped = group_histories(model, histories)
+    grouped = group_histories(histories, lambda h: history_signature(h, model))
     rng = SplitMix64(args.seed)
     counts = Counter(
         history_signature(sample_history(model, plan, rng), model) for _ in range(args.trials)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from ..rng import SplitMix64
 
@@ -261,7 +261,7 @@ def _walk(model: Model, plan: Iterable[PlanStep], rng: SplitMix64 | None = None)
         step, rest = queue[0], queue[1:]
         query = step.query
         if rng is not None:
-            model.check_admissible(query)
+            check_step(model, step)
         try:
             branches = model.step(state, query)
         except InconsistentHistory:
@@ -284,23 +284,30 @@ def _walk(model: Model, plan: Iterable[PlanStep], rng: SplitMix64 | None = None)
     return results
 
 
+def check_step(model: Model, step: PlanStep) -> None:
+    """Reject a step whose query the model does not offer, or with a branch
+    key that its query can never give."""
+    query = step.query
+    model.check_admissible(query)
+    for key, _ in step.branches:
+        if key not in model.outcome_keys(query):
+            outcomes = "; ".join(model.outcome_keys(query))
+            raise InadmissibleQuery(f"{query.side} {query.target} has no outcome {key!r} ({outcomes})")
+
+
 def enumerate_histories(model: Model, plan: Iterable[PlanStep]) -> list[History]:
     """Exhaustive branch enumeration over hidden variables and outcomes, after
-    checking every step's query and branch keys, unreachable steps included."""
+    checking every step, unreachable ones included."""
     plan = tuple(plan)
     for step in plan_steps(plan):
-        query = step.query
-        model.check_admissible(query)
-        for key, _ in step.branches:
-            if key not in model.outcome_keys(query):
-                outcomes = "; ".join(model.outcome_keys(query))
-                raise InadmissibleQuery(f"{query.side} {query.target} has no outcome {key!r} ({outcomes})")
+        check_step(model, step)
     return _walk(model, plan)
 
 
 def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:
     """One seeded run of a plan: one draw for the hidden state, then one per
-    visited step; forbidden queries yield a flagged history."""
+    visited step, each checked when reached; forbidden queries yield a
+    flagged history."""
     return _walk(model, plan, rng)[0]
 
 
@@ -312,15 +319,15 @@ def history_signature(history: History, model: Model) -> tuple:
     )
 
 
-def group_histories(model: Model, histories: Iterable[History]) -> dict[tuple, Fraction]:
-    """Signature -> total probability of the histories carrying it."""
-    dist: dict[tuple, Fraction] = {}
+def group_histories(histories: Iterable[History], key: Callable[[History], Hashable]) -> dict:
+    """``key(history)`` -> total probability of the histories giving that key."""
+    dist: dict = {}
     for history in histories:
-        sig = history_signature(history, model)
-        dist[sig] = dist.get(sig, Fraction(0)) + history.probability
+        k = key(history)
+        dist[k] = dist.get(k, Fraction(0)) + history.probability
     return dist
 
 
 def exact_distribution(model: Model, plan: Iterable[PlanStep]) -> dict[tuple, Fraction]:
     """Signature -> exact probability over a complete enumeration."""
-    return group_histories(model, enumerate_histories(model, plan))
+    return group_histories(enumerate_histories(model, plan), lambda h: history_signature(h, model))

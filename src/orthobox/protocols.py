@@ -18,7 +18,7 @@ Distribution comparisons are exact rational equality throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Sequence
@@ -29,11 +29,13 @@ from .models import (
     BOB,
     BOXES,
     PAIRS,
+    InconsistentHistory,
     Model,
     PlanStep,
     Query,
     Session,
     enumerate_histories,
+    group_histories,
     make_model,
     plan_steps,
 )
@@ -42,16 +44,16 @@ from .rng import SplitMix64
 
 @dataclass(frozen=True)
 class AliceStrategy:
-    """First query plus a follow-up query per observed outcome (or none)."""
+    """First query plus a follow-up query per observed outcome (or none);
+    its one-step plan is built once, as ``plan``."""
 
     first: str
     branches: tuple[tuple[str, str | None], ...] = ()
+    plan: tuple[PlanStep, ...] = field(init=False, repr=False, compare=False)
 
-    def plan(self) -> tuple[PlanStep, ...]:
-        branch_steps = tuple(
-            (key, (PlanStep(ALICE, target),)) for key, target in self.branches if target
-        )
-        return (PlanStep(ALICE, self.first, branch_steps),)
+    def __post_init__(self):
+        branch_steps = tuple((key, (PlanStep(ALICE, target),)) for key, target in self.branches if target)
+        object.__setattr__(self, "plan", (PlanStep(ALICE, self.first, branch_steps),))
 
     def describe(self) -> str:
         parts = [f"alice {self.first}"]
@@ -74,27 +76,18 @@ def bob_marginal(model: Model, strategy: AliceStrategy | None, bob_target: str) 
     Branches where a query became unanswerable are reported separately as
     ``forbidden_mass`` rather than renormalized away.
     """
-    plan = (strategy.plan() if strategy else ()) + (PlanStep(BOB, bob_target),)
-    dist: dict[str, Fraction] = {}
-    forbidden = Fraction(0)
-    for history in enumerate_histories(model, plan):
-        if history.forbidden:
-            forbidden += history.probability
-            continue
-        query, outcome = history.steps[-1]
-        key = model.outcome_key(query, outcome)
-        dist[key] = dist.get(key, Fraction(0)) + history.probability
-    return BobMarginal(dist, forbidden)
+    plan = (strategy.plan if strategy else ()) + (PlanStep(BOB, bob_target),)
+    dist = group_histories(
+        enumerate_histories(model, plan),
+        lambda h: None if h.forbidden else model.outcome_key(*h.steps[-1]),
+    )
+    return BobMarginal(dist, dist.pop(None, Fraction(0)))
 
 
 def first_outcomes(model: Model, side: str, target: str) -> tuple[str, ...]:
     """Outcome keys a fresh session can produce for one query."""
-    keys = set()
-    for history in enumerate_histories(model, (PlanStep(side, target),)):
-        query, outcome = history.steps[0]
-        if outcome is not None:
-            keys.add(model.outcome_key(query, outcome))
-    return tuple(sorted(keys))
+    histories = [h for h in enumerate_histories(model, (PlanStep(side, target),)) if not h.forbidden]
+    return tuple(sorted(group_histories(histories, lambda h: model.outcome_key(*h.steps[0]))))
 
 
 def enumerate_strategies(model: Model) -> list[AliceStrategy]:
@@ -130,7 +123,7 @@ def detect_signalling(model: Model) -> SignallingReport:
     for bob_target in model.admissible_targets(BOB):
         baselines[bob_target] = bob_marginal(model, None, bob_target)
         if baselines[bob_target].forbidden_mass != 0:
-            raise AssertionError("baseline query cannot be forbidden")
+            raise InconsistentHistory(f"bob's baseline query {bob_target} cannot be forbidden")
     for strategy in enumerate_strategies(model):
         for bob_target in model.admissible_targets(BOB):
             shifted = bob_marginal(model, strategy, bob_target)
@@ -196,11 +189,9 @@ def _context_realizations(model: Model, side: str, ctx: str) -> list[tuple[str, 
     return realizations
 
 
-def _box_readings(model: Model, history, side: str, box: str) -> list[bool]:
+def _box_readings(history, side: str, box: str) -> list[bool]:
     readings = []
     for query, outcome in history.steps:
-        if outcome is None:
-            continue
         if query.side == side and box in query.boxes:
             readings.append(dict(outcome)[box])
     return readings
@@ -218,14 +209,9 @@ def test_assumption_a(model: Model) -> AssumptionVerdict:
     for side in (ALICE, BOB):
         for target in model.admissible_targets(side):
             plan = (PlanStep(side, target),)
-            totals: dict[str, Fraction] = {}
-            for history in enumerate_histories(model, plan):
-                _, outcome = history.steps[0]
-                for box, value in outcome:
-                    if value:
-                        totals[box] = totals.get(box, Fraction(0)) + history.probability
+            outcomes = group_histories(enumerate_histories(model, plan), lambda h: h.steps[0][1])
             for box in plan[0].query.boxes:
-                p = totals.get(box, Fraction(0))
+                p = sum((q for outcome, q in outcomes.items() if dict(outcome)[box]), Fraction(0))
                 if not 0 < p < 1:
                     return AssumptionVerdict(
                         False,
@@ -244,10 +230,10 @@ def test_assumption_a(model: Model) -> AssumptionVerdict:
                         bob_steps = tuple(PlanStep(BOB, t) for t in real_b)
                         for plan in _interleavings(alice_steps, bob_steps):
                             for history in enumerate_histories(model, plan):
-                                if history.forbidden or history.probability == 0:
+                                if history.forbidden:
                                     continue
-                                a_vals = _box_readings(model, history, ALICE, box)
-                                b_vals = _box_readings(model, history, BOB, box)
+                                a_vals = _box_readings(history, ALICE, box)
+                                b_vals = _box_readings(history, BOB, box)
                                 if any(av != bv for av in a_vals for bv in b_vals):
                                     return AssumptionVerdict(
                                         False,
@@ -262,18 +248,19 @@ def test_assumption_a(model: Model) -> AssumptionVerdict:
 
 def _pair_distribution(model: Model, side: str, steps: Sequence[str], boxes: tuple[str, str]):
     """Joint distribution of the two box values under a fresh-session plan."""
-    plan = tuple(PlanStep(side, t) for t in steps)
-    dist: dict[tuple[bool, bool], Fraction] = {}
-    for history in enumerate_histories(model, plan):
-        if history.forbidden:
-            raise AssertionError("single-side plans cannot be forbidden")
+    histories = enumerate_histories(model, tuple(PlanStep(side, t) for t in steps))
+    if any(h.forbidden for h in histories):
+        raise InconsistentHistory(f"single-side plan {' then '.join(steps)} on {side} cannot be forbidden")
+
+    def first_readings(history) -> tuple[bool, bool]:
+        # The first reading of a box counts as the measurement result.
         values = {}
-        for query, outcome in history.steps:
+        for _, outcome in history.steps:
             for b, v in outcome:
-                values.setdefault(b, v)  # first reading counts as the measurement result
-        key = (values[boxes[0]], values[boxes[1]])
-        dist[key] = dist.get(key, Fraction(0)) + history.probability
-    return dist
+                values.setdefault(b, v)
+        return (values[boxes[0]], values[boxes[1]])
+
+    return group_histories(histories, first_readings)
 
 
 def test_assumption_b(model: Model) -> AssumptionVerdict:
@@ -314,7 +301,7 @@ def test_assumption_c(model: Model) -> AssumptionVerdict:
     witness = Witness(
         f"bob's p({report.outcome}) for {report.bob_target} moves from "
         f"{report.baseline} to {report.shifted}",
-        strategy.plan() + (PlanStep(BOB, report.bob_target),),
+        strategy.plan + (PlanStep(BOB, report.bob_target),),
         detail=strategy.describe(),
     )
     return AssumptionVerdict(False, witness)
@@ -446,16 +433,13 @@ def realize_pr_box(model: Model, interpretation: Interpretation | None = None) -
     for i_a, (target_a, box_a) in enumerate(interpretation[0]):
         for i_b, (target_b, box_b) in enumerate(interpretation[1]):
             combo = (PR_REALIZATION_SETTINGS[0][i_a], PR_REALIZATION_SETTINGS[1][i_b])
-            plan = (PlanStep(ALICE, target_a), PlanStep(BOB, target_b))
-            dist: dict[tuple[int, int], Fraction] = {}
-            for history in enumerate_histories(model, plan):
-                if history.forbidden:
-                    raise AssertionError("one query per side cannot be forbidden")
-                a_val = dict(history.steps[0][1])[box_a]
-                b_val = dict(history.steps[1][1])[box_b]
-                key = (PLUS if a_val else MINUS, PLUS if b_val else MINUS)
-                dist[key] = dist.get(key, Fraction(0)) + history.probability
-            table[combo] = dist
+            histories = enumerate_histories(model, (PlanStep(ALICE, target_a), PlanStep(BOB, target_b)))
+            if any(h.forbidden for h in histories):
+                raise InconsistentHistory(f"alice {target_a} then bob {target_b} cannot be forbidden")
+            table[combo] = group_histories(
+                histories,
+                lambda h: tuple(PLUS if dict(o)[b] else MINUS for (_, o), b in zip(h.steps, (box_a, box_b))),
+            )
     return BehaviorTable(PR_REALIZATION_SETTINGS, ((PLUS, MINUS), (PLUS, MINUS)), table)
 
 

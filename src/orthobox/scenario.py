@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import networkx as nx
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .rational import check_probability, format_rational, parse_rational
 
 Label = str
+# Each proposition mapped to its orthogonal partners; read only by iteration and ``graph[v]``.
+Graph = Mapping[Label, Collection[Label]]
 
 
 class ScenarioError(ValueError):
@@ -73,26 +73,27 @@ class OrthoScenario:
         return any(s <= m for m in self.maximal_joint_sets)
 
 
-def orthogonality_graph(scenario: OrthoScenario) -> nx.Graph:
-    """Graph with an edge between each orthogonal pair (the family's 1-skeleton)."""
-    g = nx.Graph()
-    g.add_nodes_from(scenario.propositions)
-    for a, b in combinations(scenario.propositions, 2):
-        if scenario.is_joint((a, b)):
-            g.add_edge(a, b)
-    return g
+def orthogonality_graph(scenario: OrthoScenario) -> dict[Label, frozenset[Label]]:
+    """Each proposition mapped to its orthogonal partners (the family's 1-skeleton)."""
+    props = scenario.propositions
+    return {a: frozenset(b for b in props if b != a and scenario.is_joint((a, b))) for a in props}
 
 
-def _cliques_of_size_at_least_3(graph: nx.Graph):
-    for clique in nx.enumerate_all_cliques(graph):
-        if len(clique) >= 3:
-            yield frozenset(clique)
+def cliques(graph: Graph) -> Iterator[tuple[Label, ...]]:
+    """Every clique of ``graph`` as a sorted tuple, the empty one first, each
+    extended depth first by its larger common neighbours (lexicographic order)."""
+
+    def extend(clique: tuple[Label, ...], candidates: list[Label]):
+        yield clique
+        for i, v in enumerate(candidates):
+            yield from extend(clique + (v,), [u for u in candidates[i + 1 :] if u in graph[v]])
+
+    yield from extend((), sorted(graph))
 
 
 def is_specker(scenario: OrthoScenario) -> bool:
     """True iff every clique of the orthogonality graph is jointly orthogonal."""
-    graph = orthogonality_graph(scenario)
-    return all(scenario.is_joint(c) for c in _cliques_of_size_at_least_3(graph))
+    return all(scenario.is_joint(c) for c in cliques(orthogonality_graph(scenario)) if len(c) >= 3)
 
 
 def find_all_minimal_non_specker(scenario: OrthoScenario) -> list[tuple[Label, ...]]:
@@ -101,15 +102,14 @@ def find_all_minimal_non_specker(scenario: OrthoScenario) -> list[tuple[Label, .
     Exhaustive over subsets; fine at desk scale (a dozen propositions or so).
     Results sorted by cardinality then lexicographically.
     """
-    graph = orthogonality_graph(scenario)
     found = []
-    for clique in _cliques_of_size_at_least_3(graph):
-        if scenario.is_joint(clique):
+    for clique in cliques(orthogonality_graph(scenario)):
+        if len(clique) < 3 or scenario.is_joint(clique):
             continue
         # Proper subsets of a clique are cliques; only the maximal proper
         # subsets need checking thanks to downward closure.
-        if all(scenario.is_joint(clique - {p}) for p in clique):
-            found.append(tuple(sorted(clique)))
+        if all(scenario.is_joint(set(clique) - {p}) for p in clique):
+            found.append(clique)
     found.sort(key=lambda s: (len(s), s))
     return found
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orthobox
 from orthobox.cli import main
 
 
@@ -202,3 +207,11 @@ class TestHelpAndColor:
         _, plain, _ = run(capsys, "assumptions", "seer")
         assert "\x1b[" in colored
         assert "\x1b[" not in plain
+
+
+def test_cli_import_leaves_networkx_out():
+    src = str(Path(orthobox.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, orthobox.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -194,6 +194,13 @@ class TestSampling:
                 outcomes.add(model.outcome_key(*history.steps[0]))
         assert outcomes == {"A", "B"}
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sampling_rejects_typod_branch_key(self, seed):
+        model = make_model("seer")
+        plan = parse_plan("alice AB\n  on ful,empty: bob C")
+        with pytest.raises(InadmissibleQuery, match="ful,empty"):
+            sample_history(model, plan, SplitMix64(seed))
+
     def test_forbidden_branch_sampling_is_flagged(self):
         model = make_model("seer")
         plan = parse_plan("bob A\nalice B\nbob C\nalice C")

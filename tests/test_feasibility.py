@@ -3,19 +3,19 @@
 The oracle decides whether the marginal vector lies in the convex hull of
 the admissible assignments by enumerating candidate supports and solving
 each small linear system exactly, with no pivoting logic shared with the
-production solver.
+production solver, over its own brute-force subset filter rather than the
+production clique enumerator.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-import networkx as nx
 import pytest
 
 from orthobox.behavior import admissible_assignments, check_exclusivity, joint_feasibility
 from orthobox.linprog import feasible_combination
 from orthobox.rng import SplitMix64
-from orthobox.scenario import MarginalVector, orthogonality_graph, specker_triple
+from orthobox.scenario import MarginalVector, cliques, orthogonality_graph, specker_triple
 
 
 def solve_square(rows, rhs):
@@ -36,6 +36,18 @@ def solve_square(rows, rhs):
     return [m[r][n] for r in range(n)]
 
 
+def brute_force_subsets(graph, adjacent: bool) -> list[frozenset]:
+    """Every subset whose pairs are all adjacent (cliques) or all non-adjacent
+    (independent sets), by size and then labels, filtered from all 2^n."""
+    nodes = sorted(graph)
+    return [
+        frozenset(subset)
+        for r in range(len(nodes) + 1)
+        for subset in combinations(nodes, r)
+        if all((b in graph[a]) == adjacent for a, b in combinations(subset, 2))
+    ]
+
+
 def oracle_feasible(graph, marginals) -> bool:
     """Brute force: try every support of at most |V|+1 admissible assignments.
 
@@ -43,11 +55,11 @@ def oracle_feasible(graph, marginals) -> bool:
     most one member of a clique true, so clique marginals summing past 1 rule
     out any distribution without enumerating supports.
     """
-    for clique in nx.find_cliques(graph):
+    for clique in brute_force_subsets(graph, adjacent=True):
         if sum((Fraction(marginals[v]) for v in clique), Fraction(0)) > 1:
             return False
-    nodes = sorted(graph.nodes)
-    assignments = admissible_assignments(graph)
+    nodes = sorted(graph)
+    assignments = brute_force_subsets(graph, adjacent=False)
     target = [Fraction(marginals[v]) for v in nodes] + [Fraction(1)]
     dim = len(target)
     for size in range(1, dim + 1):
@@ -100,20 +112,20 @@ def matrix_rank(rows) -> int:
 
 def check_certificate(graph, marginals, cert):
     """Whatever the verdict, its evidence must hold exactly."""
-    nodes = sorted(graph.nodes)
+    nodes = sorted(graph)
     if cert.feasible:
         total = sum(cert.witness.values(), Fraction(0))
         assert total == 1
         for assignment, weight in cert.witness.items():
             assert weight >= 0
             for a, b in combinations(sorted(assignment), 2):
-                assert not graph.has_edge(a, b)
+                assert b not in graph[a]
         for v in nodes:
             mass = sum(w for s, w in cert.witness.items() if v in s)
             assert mass == marginals[v]
     else:
         coeffs, const = cert.farkas
-        for assignment in admissible_assignments(graph):
+        for assignment in brute_force_subsets(graph, adjacent=False):
             assert sum((coeffs[v] for v in assignment), Fraction(0)) + const <= 0
         value = sum((coeffs[v] * marginals[v] for v in nodes), Fraction(0)) + const
         assert value > 0
@@ -170,8 +182,7 @@ class TestTriangle:
 
 class TestPentagon:
     def pentagon(self):
-        g = nx.cycle_graph(5)
-        return nx.relabel_nodes(g, {i: "ABCDE"[i] for i in range(5)})
+        return {v: {"ABCDE"[(i - 1) % 5], "ABCDE"[(i + 1) % 5]} for i, v in enumerate("ABCDE")}
 
     def test_two_fifths_feasible(self):
         g = self.pentagon()
@@ -194,13 +205,13 @@ class TestPentagon:
 
 
 def random_graph_and_marginals(rng: SplitMix64, n: int):
-    g = nx.Graph()
-    g.add_nodes_from("ABCDE"[:n])
+    g = {v: set() for v in "ABCDE"[:n]}
     for a, b in combinations("ABCDE"[:n], 2):
         if rng.randrange(2):
-            g.add_edge(a, b)
+            g[a].add(b)
+            g[b].add(a)
     values = {}
-    for v in sorted(g.nodes):
+    for v in sorted(g):
         den = 1 + rng.randrange(12)
         values[v] = Fraction(rng.randrange(den + 1), den)
     return g, MarginalVector(values)
@@ -234,3 +245,66 @@ class TestLowLevelSolver:
         solution, farkas = feasible_combination(columns, target)
         assert farkas is None
         assert solution == {0: Fraction(1, 3), 1: Fraction(2, 3)}
+
+
+def random_graph(rng: SplitMix64, n: int) -> dict[str, set[str]]:
+    """Seeded graph on the first ``n`` of A..I, edge density drawn per graph."""
+    density = 1 + rng.randrange(3)
+    g = {v: set() for v in "ABCDEFGHI"[:n]}
+    for a, b in combinations(sorted(g), 2):
+        if rng.randrange(4) < density:
+            g[a].add(b)
+            g[b].add(a)
+    return g
+
+
+class TestCliquesAgainstNetworkx:
+    """The clique enumerator and its three uses against networkx and against
+    the 2^n subset filter the enumerator replaced."""
+
+    def graphs(self, nx, count: int, max_n: int, seed: int):
+        rng = SplitMix64(seed)
+        for _ in range(count):
+            g = random_graph(rng, rng.randrange(max_n + 1))
+            nxg = nx.Graph()
+            nxg.add_nodes_from(g)
+            nxg.add_edges_from((a, b) for a in g for b in g[a])
+            yield rng, g, nxg
+
+    def test_cliques_and_independent_sets(self):
+        nx = pytest.importorskip("networkx")
+        for _, g, nxg in self.graphs(nx, 200, 9, seed=31):
+            expected = [()] + sorted(tuple(sorted(c)) for c in nx.enumerate_all_cliques(nxg))
+            assert list(cliques(g)) == expected
+            assert list(cliques(nxg)) == expected
+            independent = [frozenset()] + sorted(
+                (frozenset(c) for c in nx.enumerate_all_cliques(nx.complement(nxg))),
+                key=lambda s: (len(s), sorted(s)),
+            )
+            # Order included: it fixes the simplex's columns and so its witness.
+            assert admissible_assignments(g) == independent
+            assert admissible_assignments(nxg) == independent
+            assert brute_force_subsets(g, adjacent=False) == independent
+
+    def test_exclusivity_reports_first_violating_maximal_clique(self):
+        nx = pytest.importorskip("networkx")
+        for rng, g, nxg in self.graphs(nx, 200, 9, seed=37):
+            m = MarginalVector({v: Fraction(rng.randrange(5), 4) for v in g})
+            violations = [
+                (tuple(sorted(c)), total)
+                for c in nx.find_cliques(nxg)
+                if (total := sum((m[v] for v in c), Fraction(0))) > 1
+            ]
+            result = check_exclusivity(m, g)
+            assert result.ok == (not violations)
+            if violations:
+                assert (result.clique, result.total) == min(violations)
+            assert check_exclusivity(m, nxg) == result
+
+    def test_networkx_graph_gives_the_same_certificate(self):
+        nx = pytest.importorskip("networkx")
+        for rng, g, nxg in self.graphs(nx, 20, 5, seed=41):
+            m = MarginalVector({v: Fraction(rng.randrange(4), 6) for v in g})
+            cert = joint_feasibility(g, m)
+            check_certificate(g, m, cert)
+            assert joint_feasibility(nxg, m) == cert

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from orthobox import cli
 from orthobox.behavior import chsh, is_pr_box, no_signalling_check, box_to_json
-from orthobox.models import enumerate_histories, make_model
+from orthobox.models import InconsistentHistory, Model, enumerate_histories, make_model
 from orthobox.protocols import (
     AliceStrategy,
     DEFAULT_PAIR_INTERPRETATION,
@@ -23,6 +24,25 @@ from orthobox.protocols import test_assumption_c as assumption_c
 
 FABLE_FORCE_FULL = AliceStrategy("C", (("full", "B"), ("empty", "A")))
 FABLE_FORCE_EMPTY = AliceStrategy("C", (("full", "A"), ("empty", "B")))
+
+
+class ForbiddenAfter(Model):
+    """Stub model: each box a fair coin, and no consistent answer to any
+    query after the first ``allowed`` of a session."""
+
+    name = "stub"
+
+    def __init__(self, allowed: int):
+        self.allowed = allowed
+
+    def initial_states(self):
+        return [(0, Fraction(1))]
+
+    def step(self, state, query):
+        if state >= self.allowed:
+            raise InconsistentHistory(f"no answer after {self.allowed} queries")
+        coin = lambda st, side, box, q: [(True, state + 1, Fraction(1, 2)), (False, state + 1, Fraction(1, 2))]
+        return self.box_by_box(state, query, coin)
 
 
 class TestBobMarginal:
@@ -86,6 +106,16 @@ class TestDetectSignalling:
         # 3 first choices, 2 outcomes each, follow-up in {none} + 3 sides
         assert len(strategies) == 3 * 4 * 4
         assert first_outcomes(model, "alice", "AB") == ("A", "B")
+
+    def test_strategy_builds_its_plan_once(self):
+        strategy = AliceStrategy("C", (("full", "B"), ("empty", None)))
+        assert strategy.plan is strategy.plan
+        (step,) = strategy.plan
+        assert (step.side, step.target) == ("alice", "C")
+        assert [(key, [(s.side, s.target) for s in sub]) for key, sub in step.branches] == [
+            ("full", [("alice", "B")])
+        ]
+        assert strategy == AliceStrategy("C", (("full", "B"), ("empty", None)))
 
 
 class TestAssumptionMatrix:
@@ -209,6 +239,25 @@ class TestRealizePrBox:
                 make_model("firefly"),
                 ((("A", "A"), ("BC", "B")), DEFAULT_PAIR_INTERPRETATION[1]),
             )
+
+
+class TestForbiddenProtocolsAreTypedErrors:
+    def test_single_side_plan(self):
+        with pytest.raises(InconsistentHistory, match="single-side plan"):
+            assumption_b(ForbiddenAfter(1))
+
+    def test_baseline_query(self):
+        with pytest.raises(InconsistentHistory, match="baseline"):
+            detect_signalling(ForbiddenAfter(0))
+
+    def test_realization(self):
+        with pytest.raises(InconsistentHistory, match="cannot be forbidden"):
+            realize_pr_box(ForbiddenAfter(1))
+
+    def test_cli_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "make_model", lambda *args, **kwargs: ForbiddenAfter(1))
+        assert cli.main(["pr-boxes", "--model", "seer"]) == 1
+        assert "cannot be forbidden" in capsys.readouterr().err
 
 
 class TestGapConsistencyWithTheorem:

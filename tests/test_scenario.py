@@ -7,6 +7,7 @@ from orthobox.scenario import (
     MarginalVector,
     OrthoScenario,
     ScenarioError,
+    cliques,
     coarse_grain_to_three,
     dump_scenario,
     find_all_minimal_non_specker,
@@ -26,23 +27,56 @@ def five_set_scenario():
     return OrthoScenario.from_sets(labels, quads)
 
 
+def edge_count(graph) -> int:
+    return sum(map(len, graph.values())) // 2
+
+
 class TestOrthogonalityGraph:
     def test_triangle(self):
         s, _ = specker_triple()
         g = orthogonality_graph(s)
-        assert set(g.nodes) == {"A", "B", "C"}
-        assert g.number_of_edges() == 3
+        assert set(g) == {"A", "B", "C"}
+        assert edge_count(g) == 3
 
     def test_single_proposition(self):
         s = OrthoScenario.from_sets(["A"], [])
         g = orthogonality_graph(s)
-        assert list(g.nodes) == ["A"]
-        assert g.number_of_edges() == 0
+        assert list(g) == ["A"]
+        assert edge_count(g) == 0
 
     def test_full_complex_is_complete_graph(self):
         s = OrthoScenario.from_sets("ABCD", [["A", "B", "C", "D"]])
         g = orthogonality_graph(s)
-        assert g.number_of_edges() == 6
+        assert edge_count(g) == 6
+
+    def test_maps_each_proposition_to_its_partners(self):
+        s = OrthoScenario.from_sets("ABCD", [["A", "B"], ["B", "C"]])
+        assert orthogonality_graph(s) == {
+            "A": frozenset("B"),
+            "B": frozenset("AC"),
+            "C": frozenset("B"),
+            "D": frozenset(),
+        }
+
+
+class TestCliques:
+    def test_every_clique_once_in_lexicographic_order(self):
+        s = OrthoScenario.from_sets("ABCD", [["A", "B", "C"], ["C", "D"]])
+        assert list(cliques(orthogonality_graph(s))) == [
+            (),
+            ("A",),
+            ("A", "B"),
+            ("A", "B", "C"),
+            ("A", "C"),
+            ("B",),
+            ("B", "C"),
+            ("C",),
+            ("C", "D"),
+            ("D",),
+        ]
+
+    def test_empty_graph_has_only_the_empty_clique(self):
+        assert list(cliques({})) == [()]
 
 
 class TestIsSpecker:
