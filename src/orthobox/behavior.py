@@ -177,10 +177,9 @@ def no_signalling_check(box: BehaviorTable) -> NoSignallingResult:
 class CHSHResult(NamedTuple):
     value: Fraction
     signs: tuple[int, int, int, int]
-    ordering: tuple[tuple[Setting, Setting], tuple[Setting, Setting]]
 
 
-def chsh(box: BehaviorTable, ordering=None) -> CHSHResult:
+def chsh(box: BehaviorTable) -> CHSHResult:
     """Best CHSH combination |s1 E(ab) + s2 E(ab') + s3 E(a'b) + s4 E(a'b')|.
 
     Maximized over the eight sign placements with an odd number of minus
@@ -189,9 +188,7 @@ def chsh(box: BehaviorTable, ordering=None) -> CHSHResult:
     """
     if box.parties != 2 or any(len(s) != 2 for s in box.settings):
         raise BehaviorError("CHSH requires two parties with two settings each")
-    if ordering is None:
-        ordering = (tuple(box.settings[0]), tuple(box.settings[1]))
-    (a, a2), (b, b2) = ordering
+    (a, a2), (b, b2) = box.settings
     es = [
         box.correlator((a, b)),
         box.correlator((a, b2)),
@@ -205,7 +202,7 @@ def chsh(box: BehaviorTable, ordering=None) -> CHSHResult:
         value = abs(sum((Fraction(s) * e for s, e in zip(signs, es)), Fraction(0)))
         if best is None or value > best[0]:
             best = (value, signs)
-    return CHSHResult(best[0], best[1], (tuple(ordering[0]), tuple(ordering[1])))
+    return CHSHResult(*best)
 
 
 PR_SETTINGS = (("a", "a'"), ("b", "b'"))
@@ -277,13 +274,11 @@ def box_from_json(text: str) -> BehaviorTable:
     return BehaviorTable(tuple(tuple(s) for s in data["settings"]), outcomes, table)
 
 
-def correlators_csv(box: BehaviorTable, exact: bool = False) -> str:
-    """CSV of correlators, columns setting_a,setting_b,E."""
+def correlators_csv(box: BehaviorTable) -> str:
+    """CSV of exact correlators, columns setting_a,setting_b,E."""
     out = io.StringIO()
     out.write("setting_a,setting_b,E\n")
     for sa in box.settings[0]:
         for sb in box.settings[1]:
-            e = box.correlator((sa, sb))
-            rendered = format_rational(e) if exact else f"{float(e):.12g}"
-            out.write(f"{sa},{sb},{rendered}\n")
+            out.write(f"{sa},{sb},{format_rational(box.correlator((sa, sb)))}\n")
     return out.getvalue()

@@ -297,7 +297,7 @@ def cmd_pr_boxes(args) -> int:
     ns = no_signalling_check(box)
     print(f"model: {args.model}")
     print("correlators:")
-    sys.stdout.write(correlators_csv(box, exact=True))
+    sys.stdout.write(correlators_csv(box))
     print(f"S = {format_rational(result.value)} with signs {result.signs}")
     print(f"no-signalling: {'yes' if ns.ok else 'NO'}")
     print(f"matches a canonical box: {'yes' if is_pr_box(box) else 'NO'}")

@@ -123,9 +123,9 @@ def _draw(rng: SplitMix64, branches: list[tuple[Outcome, object, Fraction]]):
 class Session:
     """Stateful sequential-measurement run over one seeded stream."""
 
-    def __init__(self, model: Model, rng: SplitMix64 | int = 0):
+    def __init__(self, model: Model, rng: SplitMix64):
         self.model = model
-        self.rng = rng if isinstance(rng, SplitMix64) else SplitMix64(rng)
+        self.rng = rng
         self.state = self.rng.choice_weighted(model.initial_states())
 
     def measure(self, query: Query) -> Outcome:

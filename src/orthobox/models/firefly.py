@@ -1,12 +1,15 @@
-"""Entangled firefly boxes: a hidden perimeter position decides which corner glows.
+"""Entangled firefly boxes: a hidden half-side decides which corner glows.
 
-Each party owns a translucent triangular box with corners A, B, C (side
-length 1, perimeter coordinates A=0, B=1, C=2).  A measurement approaches
-one side, so only the two corners of that side can glow; single-corner
-measurements do not exist.  The firefly occupies one of the six half-sides,
-identified by (side, adjacent corner) with midpoints at 1/4, 3/4, ..., 11/4;
-the corner of the approached side nearest to the firefly's current midpoint
-(along the perimeter) glows.  With these midpoints no distance ties occur.
+Each party owns a translucent triangular box with corners A, B, C.  A
+measurement approaches one side, so only the two corners of that side can
+glow; single-corner measurements do not exist.  The firefly occupies one of
+the six half-sides, identified by (side, adjacent corner).  The glowing
+corner is the half's own corner when the firefly sits on the approached
+side, and otherwise the corner the firefly's side shares with the approached
+one.  That rule is the paper's geometry: with side length 1 and perimeter
+coordinates A=0, B=1, C=2, the halves' midpoints lie at 1/4, 3/4, ..., 11/4,
+and the rule names the corner of the approached side nearest the firefly's
+midpoint along the perimeter, never a tie.
 
 Both fireflies start on the same half-side, uniformly over the six (an
 alternative with independent starting halves synchronized by the first
@@ -38,37 +41,25 @@ from fractions import Fraction
 
 from .base import InadmissibleQuery, Model, Outcome, PAIRS, Query
 
-FLAVORS = ("mirror", "alice_cuts_bob_local", "alice_cuts_bob_mirror")
-
-_CORNER_COORD = {"A": Fraction(0), "B": Fraction(1), "C": Fraction(2)}
-_PERIMETER = Fraction(3)
+# flavor -> (does the measurer cut the corner, does the partner follow every measurement)
+_FLAVOR_RULES = {
+    "mirror": (False, False),
+    "alice_cuts_bob_local": (True, False),
+    "alice_cuts_bob_mirror": (True, True),
+}
+FLAVORS = tuple(_FLAVOR_RULES)
 
 Half = tuple[str, str]  # (side, adjacent corner)
 
 HALVES: tuple[Half, ...] = tuple((side, corner) for side in PAIRS for corner in side)
 
 
-def half_midpoint(half: Half) -> Fraction:
-    side, corner = half
-    start = {"AB": Fraction(0), "BC": Fraction(1), "CA": Fraction(2)}[side]
-    # the half adjacent to the side's first corner spans [start, start+1/2]
-    return start + (Fraction(1, 4) if corner == side[0] else Fraction(3, 4))
-
-
-def perimeter_distance(x: Fraction, y: Fraction) -> Fraction:
-    d = abs(x - y) % _PERIMETER
-    return min(d, _PERIMETER - d)
-
-
 def nearest_corner(half: Half, side: str) -> str:
-    """Which corner of ``side`` is closest to the firefly's half-side midpoint."""
-    mid = half_midpoint(half)
-    c1, c2 = side
-    d1 = perimeter_distance(mid, _CORNER_COORD[c1])
-    d2 = perimeter_distance(mid, _CORNER_COORD[c2])
-    if d1 == d2:
-        raise AssertionError(f"distance tie at {half} looking at {side}")
-    return c1 if d1 < d2 else c2
+    """The corner of ``side`` that glows for a firefly on ``half``."""
+    on, corner = half
+    if on == side:
+        return corner
+    return side[0] if side[0] in on else side[1]
 
 
 def other_side(corner: str, side: str) -> str:
@@ -88,9 +79,10 @@ class FireflyModel(Model):
     name = "firefly"
 
     def __init__(self, flavor: str = "mirror"):
-        if flavor not in FLAVORS:
+        if flavor not in _FLAVOR_RULES:
             raise ValueError(f"unknown firefly flavor {flavor!r}; pick one of {FLAVORS}")
         self.flavor = flavor
+        self.cuts, self.partner_follows = _FLAVOR_RULES[flavor]
 
     def initial_states(self):
         return [(FireflyState(h, h), Fraction(1, 6)) for h in HALVES]
@@ -110,32 +102,16 @@ class FireflyModel(Model):
             raise InadmissibleQuery(
                 "a corner cannot be observed alone; approach a side (AB, BC or CA)"
             )
-        super().check_admissible(query)
 
     def step(self, state: FireflyState, query: Query):
-        mine = state.alice if query.side == "alice" else state.bob
+        by_alice = query.side == "alice"
+        mine, theirs = (state.alice, state.bob) if by_alice else (state.bob, state.alice)
         glow = nearest_corner(mine, query.target)
         outcome: Outcome = tuple((box, box == glow) for box in query.boxes)
 
-        settle = (query.target, glow)
         cut = (other_side(glow, query.target), glow)
-        if self.flavor == "mirror":
-            moved = settle
-            partner = cut if not state.measured else None
-        elif self.flavor == "alice_cuts_bob_mirror":
-            moved = cut
-            partner = cut
-        else:  # alice_cuts_bob_local
-            moved = cut
-            partner = cut if not state.measured else None
-
-        alice, bob = state.alice, state.bob
-        if query.side == "alice":
-            alice = moved
-            if partner is not None:
-                bob = partner
-        else:
-            bob = moved
-            if partner is not None:
-                alice = partner
+        moved = cut if self.cuts else (query.target, glow)
+        if self.partner_follows or not state.measured:
+            theirs = cut
+        alice, bob = (moved, theirs) if by_alice else (theirs, moved)
         return [(outcome, FireflyState(alice, bob, True), Fraction(1))]

@@ -204,17 +204,9 @@ class TestSerialization:
 
     def test_correlator_csv(self):
         box = enumerate_pr_boxes()[0]
-        text = correlators_csv(box, exact=True)
+        text = correlators_csv(box)
         lines = text.strip().splitlines()
         assert lines[0] == "setting_a,setting_b,E"
         assert len(lines) == 5
         assert lines[1].split(",")[2] in ("1", "-1")
 
-
-class TestCHSHOrdering:
-    def test_custom_ordering_changes_placement_not_maximum(self):
-        box = enumerate_pr_boxes()[0]
-        default = chsh(box)
-        swapped = chsh(box, ordering=(("a'", "a"), ("b'", "b")))
-        assert default.value == swapped.value == 4
-        assert swapped.ordering == (("a'", "a"), ("b'", "b"))

@@ -14,12 +14,34 @@ from orthobox.models import (
 from orthobox.models.firefly import (
     FireflyState,
     HALVES,
-    half_midpoint,
     nearest_corner,
     other_side,
 )
 
 SIDES = ("AB", "BC", "CA")
+
+# The paper's geometry, kept here as the oracle for the glow rule: side
+# length 1, perimeter coordinates A=0, B=1, C=2, and the corner of the
+# approached side nearest the firefly's half-side midpoint glows.
+CORNER_COORD = {"A": Fraction(0), "B": Fraction(1), "C": Fraction(2)}
+PERIMETER = Fraction(3)
+
+
+def half_midpoint(half):
+    side, corner = half
+    start = CORNER_COORD[side[0]]
+    # the half adjacent to the side's first corner spans [start, start+1/2]
+    return start + (Fraction(1, 4) if corner == side[0] else Fraction(3, 4))
+
+
+def perimeter_distance(x, y):
+    d = abs(x - y) % PERIMETER
+    return min(d, PERIMETER - d)
+
+
+def corner_distances(half, side):
+    mid = half_midpoint(half)
+    return {c: perimeter_distance(mid, CORNER_COORD[c]) for c in side}
 
 
 def glow_distribution(model, plan):
@@ -40,7 +62,14 @@ class TestGeometry:
     def test_no_distance_ties(self):
         for half in HALVES:
             for side in SIDES:
-                nearest_corner(half, side)  # raises on a tie
+                d1, d2 = corner_distances(half, side).values()
+                assert d1 != d2, (half, side)
+
+    @pytest.mark.parametrize("half", HALVES)
+    @pytest.mark.parametrize("side", SIDES)
+    def test_rule_lights_the_nearest_corner(self, half, side):
+        distances = corner_distances(half, side)
+        assert nearest_corner(half, side) == min(distances, key=distances.get)
 
     def test_c_half_of_ca_lights_a_on_ab(self):
         assert nearest_corner(("CA", "C"), "AB") == "A"

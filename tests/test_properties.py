@@ -1,0 +1,58 @@
+"""Property tests over random plans for every model and firefly flavor."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orthobox.models import (
+    FLAVORS,
+    PlanStep,
+    Query,
+    enumerate_histories,
+    exact_distribution,
+    history_signature,
+    make_model,
+    sample_history,
+)
+from orthobox.models.base import SIDES
+from orthobox.rng import SplitMix64
+
+MODELS = [("seer", "mirror"), ("lsw", "mirror")] + [("firefly", flavor) for flavor in FLAVORS]
+
+
+@st.composite
+def plans(draw, model, depth):
+    """A plan with at most ``depth`` queries on any path; branch keys are
+    outcomes the step's query can give."""
+    steps = []
+    while depth > 0 and (not steps or draw(st.booleans())):
+        side = draw(st.sampled_from(SIDES))
+        target = draw(st.sampled_from(model.admissible_targets(side)))
+        sub_depth = draw(st.integers(0, depth - 1))
+        keys = model.outcome_keys(Query(side, target))
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True)) if sub_depth else []
+        steps.append(PlanStep(side, target, tuple((key, draw(plans(model, sub_depth))) for key in chosen)))
+        depth -= 1 + sub_depth
+    return tuple(steps)
+
+
+@pytest.mark.parametrize("name, flavor", MODELS, ids=[f"{n}-{f}" for n, f in MODELS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_enumeration_and_sampling_agree(name, flavor, data, seed):
+    model = make_model(name, flavor=flavor)
+    plan = data.draw(plans(model, 3), label="plan")
+
+    histories = enumerate_histories(model, plan)
+    assert sum(h.probability for h in histories) == 1
+    assert all(h.probability >= 0 for h in histories)
+
+    support = exact_distribution(model, plan)
+    assert all(p > 0 for p in support.values())
+    for offset in range(3):
+        stream = (seed + offset) % 2**64
+        sampled = sample_history(model, plan, SplitMix64(stream))
+        assert history_signature(sampled, model) in support
+        assert sample_history(model, plan, SplitMix64(stream)) == sampled
+        assert sampled.probability == Fraction(1)
