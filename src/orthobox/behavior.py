@@ -33,7 +33,7 @@ class BehaviorError(ValueError):
 
 @dataclass(frozen=True)
 class BehaviorTable:
-    """Conditional outcome distributions for a one- or two-party box.
+    """Conditional outcome distributions for a two-party box.
 
     ``table[settings][outcomes]`` is the exact probability of the joint
     outcome tuple given the setting tuple (one entry per party in each).
@@ -46,8 +46,8 @@ class BehaviorTable:
     table: Mapping[tuple[Setting, ...], Mapping[tuple[Outcome, ...], Fraction]]
 
     def __post_init__(self):
-        if len(self.settings) not in (1, 2) or len(self.outcomes) != len(self.settings):
-            raise BehaviorError("need settings and outcomes for 1 or 2 parties")
+        if len(self.settings) != 2 or len(self.outcomes) != 2:
+            raise BehaviorError("need settings and outcomes for exactly 2 parties")
         frozen: dict[tuple[Setting, ...], dict[tuple[Outcome, ...], Fraction]] = {}
         for combo in product(*self.settings):
             dist = self.table.get(combo)
@@ -55,6 +55,8 @@ class BehaviorTable:
                 raise BehaviorError(f"missing distribution for settings {combo}")
             clean = {}
             for outs, p in dist.items():
+                if len(outs) != 2:
+                    raise BehaviorError(f"outcome {outs!r} for {combo} needs one entry per party")
                 for party, o in enumerate(outs):
                     if o not in self.outcomes[party]:
                         raise BehaviorError(f"unknown outcome {o!r} for party {party}")
@@ -67,10 +69,6 @@ class BehaviorTable:
             frozen[combo] = clean
         object.__setattr__(self, "table", frozen)
 
-    @property
-    def parties(self) -> int:
-        return len(self.settings)
-
     def marginal(self, party: int, combo: tuple[Setting, ...]) -> dict[Outcome, Fraction]:
         dist: dict[Outcome, Fraction] = {o: Fraction(0) for o in self.outcomes[party]}
         for outs, p in self.table[combo].items():
@@ -79,8 +77,6 @@ class BehaviorTable:
 
     def correlator(self, combo: tuple[Setting, ...]) -> Fraction:
         """E = sum of o_a * o_b * p over joint outcomes; needs numeric +-1 outcomes."""
-        if self.parties != 2:
-            raise BehaviorError("correlator requires a two-party table")
         return sum((Fraction(a * b) * p for (a, b), p in self.table[combo].items()), Fraction(0))
 
 
@@ -155,8 +151,6 @@ class NoSignallingResult(NamedTuple):
 
 def no_signalling_check(box: BehaviorTable) -> NoSignallingResult:
     """Each party's marginals must not depend on the other party's setting."""
-    if box.parties != 2:
-        raise BehaviorError("no-signalling check requires a two-party table")
     for party in (0, 1):
         other = 1 - party
         for setting in box.settings[party]:
@@ -186,8 +180,8 @@ def chsh(box: BehaviorTable) -> CHSHResult:
     signs, so relabelled boxes score the same.  Returns the achieving
     placement alongside the value.
     """
-    if box.parties != 2 or any(len(s) != 2 for s in box.settings):
-        raise BehaviorError("CHSH requires two parties with two settings each")
+    if any(len(s) != 2 for s in box.settings):
+        raise BehaviorError("CHSH requires two settings per party")
     (a, a2), (b, b2) = box.settings
     es = [
         box.correlator((a, b)),
@@ -229,7 +223,7 @@ def enumerate_pr_boxes() -> list[BehaviorTable]:
 
 
 def is_pr_box(box: BehaviorTable) -> bool:
-    if box.parties != 2 or any(len(s) != 2 for s in box.settings):
+    if any(len(s) != 2 for s in box.settings):
         raise BehaviorError("PR-box test requires a 2x2-setting table")
     if any(set(o) != {PLUS, MINUS} for o in box.outcomes):
         return False

@@ -19,7 +19,6 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -84,20 +83,13 @@ def _bad(text: str) -> str:
     return _color(text, "31")
 
 
-def _data_path(kind: str, name: str) -> Path | None:
-    base = resources.files("orthobox") / "data" / kind
-    candidate = base / name
-    if candidate.is_file():
-        return Path(str(candidate))
-    return None
-
-
 def _resolve_input(kind: str, name: str, suffix: str) -> Path:
+    """A file at ``name``, else the bundled ``data/<kind>/<name><suffix>``."""
     path = Path(name)
     if path.is_file():
         return path
-    bundled = _data_path(kind, name if name.endswith(suffix) else name + suffix)
-    if bundled is not None:
+    bundled = Path(__file__).parent / "data" / kind / (name if name.endswith(suffix) else name + suffix)
+    if bundled.is_file():
         return bundled
     raise FileNotFoundError(f"no such file and no bundled {kind[:-1]} named {name!r}")
 

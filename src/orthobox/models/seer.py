@@ -6,11 +6,14 @@ constrained pair distributed as P(full, empty) = p_i, P(empty, full) = p_j,
 P(both empty) = 1 - p_i - p_j and never both full; a third box opened on a
 side is unconstrained beyond the cross-side agreement.
 
-Contents commit one box at a time, in query order.  A box forced two
-different values at once (for instance committed empty through the other
-side while its pair partner's emptiness forces it full) has no consistent
-content, and the query raises :class:`InconsistentHistory`: the filling that
-produced the earlier outcomes could not have coexisted with this query.
+Contents commit one box at a time, in query order.  A box is full with
+probability q = P(full | its pair partner): its marginal p_box while the
+partner is absent or uncommitted, 0 once the partner is full, and
+p_box / (1 - p_partner) once it is empty.  A committed box keeps its value
+unless that value has weight 0 under q (for instance committed empty through
+the other side while its partner's emptiness makes q = 1); then the query
+raises :class:`InconsistentHistory`: the filling that produced the earlier
+outcomes could not have coexisted with this query.
 """
 
 from __future__ import annotations
@@ -24,13 +27,10 @@ from .base import BOXES, InconsistentHistory, Model, PAIRS, Query
 
 @dataclass(frozen=True)
 class SeerState:
-    # Box contents are shared across sides, so commitments are per label.
-    committed: tuple[tuple[str, bool], ...]
+    # Box contents in BOXES order, shared across sides; None until committed.
+    contents: tuple[bool | None, bool | None, bool | None]
     # Distinct boxes opened so far on each side, in first-opened order.
     opened: tuple[tuple[str, ...], tuple[str, ...]]
-
-    def value(self, box: str) -> bool | None:
-        return dict(self.committed).get(box)
 
 
 class SeerModel(Model):
@@ -49,7 +49,7 @@ class SeerModel(Model):
                 raise ValueError(f"marginals of pair {pair} sum past 1")
 
     def initial_states(self):
-        return [(SeerState((), ((), ())), Fraction(1))]
+        return [(SeerState((None, None, None), ((), ())), Fraction(1))]
 
     def step(self, state: SeerState, query: Query):
         return self.box_by_box(state, query, self._resolve)
@@ -71,41 +71,27 @@ class SeerModel(Model):
         """Branches (value, next_state, probability) for committing one box."""
         opened = state.opened[side_index]
         partner = self._pair_partner(opened, box, query)
-        p_box = self.marginals[box]
+        q = self.marginals[box]  # P(box full) given its pair partner's content
+        partner_value = None if partner is None else state.contents[BOXES.index(partner)]
+        if partner_value is True:
+            q = 0  # orthogonal pair, never both full
+        elif partner_value is False:
+            q /= 1 - self.marginals[partner]
 
-        forced: set[bool] = set()
-        existing = state.value(box)
+        sides = list(state.opened)
+        if box not in opened:
+            sides[side_index] = opened + (box,)
+        new_opened = tuple(sides)
+        i = BOXES.index(box)
+        existing = state.contents[i]
         if existing is not None:
-            forced.add(existing)
-        conditional = None
-        if partner is not None:
-            partner_value = state.value(partner)
-            if partner_value is True:
-                forced.add(False)  # orthogonal pair, never both full
-            elif partner_value is False:
-                q = p_box / (1 - self.marginals[partner])
-                if q == 1:
-                    forced.add(True)  # exhaustive pair: partner empty means full
-                else:
-                    conditional = q
-
-        if len(forced) > 1:
-            raise InconsistentHistory(
-                f"box {box} on side {query.side} is forced both full and empty"
-            )
-
-        def committed_with(value: bool):
-            committed = state.committed if existing is not None else state.committed + ((box, value),)
-            new_opened = list(state.opened)
-            if box not in opened:
-                new_opened[side_index] = opened + (box,)
-            return SeerState(committed, tuple(new_opened))
-
-        if forced:
-            value = forced.pop()
-            return [(value, committed_with(value), Fraction(1))]
-        q = conditional if conditional is not None else p_box
+            if q == (0 if existing else 1):  # the committed value has weight 0
+                raise InconsistentHistory(
+                    f"box {box} on side {query.side} is forced both full and empty"
+                )
+            return [(existing, SeerState(state.contents, new_opened), Fraction(1))]
         return [
-            (True, committed_with(True), q),
-            (False, committed_with(False), 1 - q),
+            (value, SeerState(state.contents[:i] + (value,) + state.contents[i + 1:], new_opened), p)
+            for value, p in ((True, q), (False, 1 - q))
+            if p
         ]

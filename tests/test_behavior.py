@@ -69,6 +69,12 @@ class TestBehaviorTable:
         with pytest.raises(BehaviorError, match="unknown outcome"):
             BehaviorTable(SETTINGS, OUTCOMES, table)
 
+    @pytest.mark.parametrize("outs", [(PLUS,), (PLUS, PLUS, PLUS)])
+    def test_outcome_needs_one_entry_per_party(self, outs):
+        table = {combo: {outs: Fraction(1)} for combo in product(*SETTINGS)}
+        with pytest.raises(BehaviorError, match="one entry per party"):
+            BehaviorTable(SETTINGS, OUTCOMES, table)
+
     def test_marginals(self):
         box = product_box(Fraction(1, 4), Fraction(1, 2))
         assert box.marginal(0, ("a", "b")) == {PLUS: Fraction(1, 4), MINUS: Fraction(3, 4)}
@@ -110,9 +116,13 @@ class TestCHSH:
         assert chsh(product_box(Fraction(1, 2), Fraction(1, 2))).value == 0
 
     def test_rejects_wrong_shape(self):
-        table = {("a",): {(PLUS,): Fraction(1)}}
-        box = BehaviorTable((("a",),), ((PLUS, MINUS),), table)
-        with pytest.raises(BehaviorError):
+        # A one-party table is rejected when built; a two-party table with a
+        # single setting on one side is rejected by CHSH itself.
+        with pytest.raises(BehaviorError, match="exactly 2 parties"):
+            BehaviorTable((("a",),), ((PLUS, MINUS),), {("a",): {(PLUS,): Fraction(1)}})
+        table = {("a", y): {(PLUS, PLUS): Fraction(1)} for y in ("b", "b'")}
+        box = BehaviorTable((("a",), ("b", "b'")), OUTCOMES, table)
+        with pytest.raises(BehaviorError, match="two settings per party"):
             chsh(box)
 
     def test_value_at_most_four_always(self):

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,7 +12,10 @@ from orthobox.models import (
     Session,
     enumerate_histories,
     exact_distribution,
+    history_signature,
+    sample_history,
 )
+from orthobox.models.base import TARGETS
 from orthobox.rng import SplitMix64
 from orthobox.theorem import conditional_probs
 
@@ -158,3 +163,52 @@ class TestThirdBox:
         dist = signatures(model, plan)
         c_full = sum(p for sig, p in dist.items() if sig[1][2] == "full")
         assert c_full == Fraction(1, 2)
+
+
+class TestOpeningOrder:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_pair_partner pairs a side's first-opened box with a pair query's "
+        "other box, not with the side's second box",
+    )
+    def test_order_of_the_first_two_boxes_forbids_nothing(self):
+        # A and B are alice's constrained pair in either order, so opening CA
+        # afterwards commits only the unconstrained C and is never forbidden.
+        model = SeerModel()
+        for first, second in (("A", "B"), ("B", "A")):
+            plan = (PlanStep("alice", first), PlanStep("alice", second), PlanStep("alice", "CA"))
+            histories = enumerate_histories(model, plan)
+            assert sum(h.probability for h in histories if h.forbidden) == 0
+
+
+class TestDifferentialDigest:
+    """Pins the seer's exact and seeded behaviour on every linear plan of at
+    most three queries, under three marginal sets, to a digest recorded
+    before the model's box resolution was rewritten."""
+
+    MARGINAL_SETS = (
+        None,
+        {"A": Fraction(1, 3), "B": Fraction(1, 4), "C": Fraction(2, 5)},
+        {"A": Fraction(1, 2), "B": Fraction(1, 2), "C": Fraction(1, 3)},
+    )
+    DIGEST = "b10f289e46d296962c6c864ffeb9e1ce4a0f2b4349d37b2bface167b991927a5"
+
+    def test_linear_plans_match_recorded_digest(self):
+        queries = [(side, target) for side in ("alice", "bob") for target in TARGETS]
+        digest = hashlib.sha256()
+        index = 0
+        for marginals in self.MARGINAL_SETS:
+            model = SeerModel(marginals)
+            for depth in (1, 2, 3):
+                for steps in product(queries, repeat=depth):
+                    plan = tuple(PlanStep(side, target) for side, target in steps)
+                    for sig, p in sorted(exact_distribution(model, plan).items()):
+                        digest.update(f"{sig!r}={p}\n".encode())
+                    rng = SplitMix64(index)
+                    for _ in range(3):
+                        sampled = sample_history(model, plan, rng)
+                        digest.update(f"{history_signature(sampled, model)!r}\n".encode())
+                    digest.update(b"--\n")
+                    index += 1
+        assert index == 5652
+        assert digest.hexdigest() == self.DIGEST

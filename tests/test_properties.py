@@ -1,5 +1,7 @@
 """Property tests over random plans for every model and firefly flavor."""
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -42,7 +44,7 @@ def plans(draw, model, depth):
 @given(data=st.data(), seed=st.integers(0, 2**64 - 1))
 def test_enumeration_and_sampling_agree(name, flavor, data, seed):
     model = make_model(name, flavor=flavor)
-    plan = data.draw(plans(model, 3), label="plan")
+    plan = data.draw(plans(model, 4), label="plan")
 
     histories = enumerate_histories(model, plan)
     assert sum(h.probability for h in histories) == 1
@@ -56,3 +58,17 @@ def test_enumeration_and_sampling_agree(name, flavor, data, seed):
         assert history_signature(sampled, model) in support
         assert sample_history(model, plan, SplitMix64(stream)) == sampled
         assert sampled.probability == Fraction(1)
+
+
+@pytest.mark.parametrize("name, flavor", MODELS, ids=[f"{n}-{f}" for n, f in MODELS])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_sampled_frequencies_match_exact(name, flavor, data, seed):
+    # Every exact signature's count lies within 5 sigma (plus one count of
+    # slack) of n*p, the bound the benchmark oracle applies to printed rates.
+    model = make_model(name, flavor=flavor)
+    plan = data.draw(plans(model, 4), label="plan")
+    n, rng = 1000, SplitMix64(seed)
+    counts = Counter(history_signature(sample_history(model, plan, rng), model) for _ in range(n))
+    for sig, p in exact_distribution(model, plan).items():
+        assert abs(counts[sig] - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orthobox.scenario import (
     MarginalVector,
@@ -163,6 +163,24 @@ class TestCoarseGrain:
         assert m == tuple(labels)
         out, merged = coarse_grain_to_three(s, m)
         assert find_minimal_non_specker(out) == tuple(sorted(["P0", "P1", merged]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_large_minimal_set_grains_to_a_minimal_triple(self, data):
+        # A planted core whose proper subsets are all joint, plus random joint
+        # sets that may create further minimal non-Specker sets but leave the
+        # core itself not joint.
+        labels = [f"P{i}" for i in range(data.draw(st.integers(4, 8), label="n"))]
+        core = data.draw(st.lists(st.sampled_from(labels), min_size=4, unique=True), label="core")
+        extra = data.draw(st.lists(st.sets(st.sampled_from(labels), min_size=2), max_size=4), label="extra")
+        assume(not any(set(core) <= e for e in extra))
+        s = OrthoScenario.from_sets(labels, [[l for l in core if l != skip] for skip in core] + extra)
+        found = find_all_minimal_non_specker(s)
+        assert tuple(sorted(core)) in found
+        for m in found:
+            if len(m) >= 4:
+                out, merged = coarse_grain_to_three(s, m)
+                assert tuple(sorted((m[0], m[1], merged))) in find_all_minimal_non_specker(out)
 
 
 class TestValidation:
