@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Hashable, Mapping, NamedTuple
 
 from .linprog import feasible_combination
@@ -29,6 +30,10 @@ PLUS, MINUS = 1, -1
 
 class BehaviorError(ValueError):
     """Malformed or wrongly shaped behavior table."""
+
+
+class CertificateError(RuntimeError):
+    """A feasibility verdict whose own certificate does not hold (a solver fault)."""
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,11 @@ def joint_feasibility(graph: Graph, marginals: MarginalVector) -> FeasibilityCer
     Exact rational phase-1 simplex with the deterministic assignments as
     columns.  The feasible witness reproduces all marginals exactly; the
     infeasible certificate separates the marginal vector from the admissible
-    polytope.
+    polytope.  Either certificate is checked here before it is returned: a
+    witness must be nonnegative, sum to 1 and reproduce every marginal; a
+    functional must be positive at the marginals and at most 0 on every
+    admissible assignment, by one more pricing pass over them in integers.
+    A certificate that fails raises :class:`CertificateError`.
     """
     nodes = sorted(graph)
     assignments = admissible_assignments(graph)
@@ -138,9 +147,37 @@ def joint_feasibility(graph: Graph, marginals: MarginalVector) -> FeasibilityCer
     solution, farkas = feasible_combination(columns, target)
     if farkas is None:
         witness = {assignments[j]: w for j, w in solution.items()}
+        _check_witness(witness, nodes, marginals)
         return FeasibilityCertificate(True, witness, None)
     coeffs = {v: farkas[i] for i, v in enumerate(nodes)}
+    _check_functional(coeffs, farkas[-1], assignments, marginals)
     return FeasibilityCertificate(False, None, (coeffs, farkas[-1]))
+
+
+def _check_witness(witness: dict[frozenset, Fraction], nodes: list[str], marginals: MarginalVector) -> None:
+    if any(w < 0 for w in witness.values()) or sum(witness.values(), Fraction(0)) != 1:
+        raise CertificateError("witness weights do not form a probability distribution")
+    for v in nodes:
+        mass = sum((w for s, w in witness.items() if v in s), Fraction(0))
+        if mass != marginals[v]:
+            raise CertificateError(
+                f"witness gives {v} mass {format_rational(mass)}, not its marginal {format_rational(marginals[v])}"
+            )
+
+
+def _check_functional(
+    coeffs: dict[str, Fraction], const: Fraction, assignments: list[frozenset], marginals: MarginalVector
+) -> None:
+    if sum((c * marginals[v] for v, c in coeffs.items()), const) <= 0:
+        raise CertificateError("separating functional is not positive at the marginals")
+    # Scaled to integers, the functional is at most 0 on an assignment iff
+    # its coefficients there sum to at most -const.
+    scale = lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+    price = {v: c.numerator * (scale // c.denominator) for v, c in coeffs.items()}
+    bound = -const.numerator * (scale // const.denominator)
+    for s in assignments:
+        if sum(map(price.__getitem__, s)) > bound:
+            raise CertificateError(f"separating functional is positive on {{{','.join(sorted(s))}}}")
 
 
 class NoSignallingResult(NamedTuple):

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import quantumref
 from .behavior import (
+    CertificateError,
     box_to_json,
     check_exclusivity,
     chsh,
@@ -428,6 +429,9 @@ def main(argv=None) -> int:
         return 2
     except InconsistentHistory as exc:
         print(f"inconsistent history: {exc}", file=sys.stderr)
+        return 1
+    except CertificateError as exc:
+        print(f"certificate check failed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,13 +1,28 @@
 """Exact linear feasibility over the rationals.
 
-Phase-1 simplex with Bland's rule on ``Fraction`` entries.  No floating
-point anywhere, so verdicts are exact; problem sizes here are tiny (tens of
-rows, at most a few thousand columns).
+Phase-1 revised simplex with Bland's rule.  No floating point anywhere, so
+verdicts are exact; problem sizes here are tiny (tens of rows, at most a few
+thousand columns).
+
+Only the m x m basis inverse ``B^-1`` and the right-hand side are kept as
+``Fraction``s.  Each row-flipped column is stored once, as sparse integer
+numerators over one denominator, and is priced against ``pi = c_B B^-1``
+scaled by the lcm of its denominators, so each reduced-cost sign is an
+integer comparison.
+
+Bland's rule reads only reduced-cost signs in column order, the entering
+column ``B^-1 a_e`` and the right-hand side, and those equal the entries a
+dense tableau would hold for the same basis.  Pricing the structural columns
+in the caller's order and then the artificials, and breaking ratio ties by
+the smallest basis label, this solver therefore takes the dense tableau's
+pivots one for one and stops at the same basis, with the same witness and
+separating functional.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
@@ -30,32 +45,46 @@ def feasible_combination(
             raise ValueError("column/target dimension mismatch")
 
     # Flip rows so the right-hand side is nonnegative.
-    signs = [Fraction(-1) if t < 0 else Fraction(1) for t in target]
-    rows = [[signs[i] * Fraction(columns[j][i]) for j in range(n)] for i in range(m)]
-    rhs = [signs[i] * Fraction(target[i]) for i in range(m)]
+    signs = [-1 if t < 0 else 1 for t in target]
+    rhs = [s * Fraction(t) for s, t in zip(signs, target)]
+    # Each flipped column as (rows, integer numerators, denominator), nonzeros only.
+    sparse = []
+    for col in columns:
+        entries = [(i, s * v) for i, (s, v) in enumerate(zip(signs, map(Fraction, col))) if v]
+        den = lcm(*(v.denominator for _, v in entries))
+        sparse.append(
+            (tuple(i for i, _ in entries), tuple(v.numerator * (den // v.denominator) for _, v in entries), den)
+        )
 
-    # Append the identity for the artificial variables.
-    for i in range(m):
-        for k in range(m):
-            rows[i].append(Fraction(1) if i == k else Fraction(0))
+    # Artificial variables n..n+m-1 start as the basis, so B^-1 = I.
+    binv = [[Fraction(int(i == k)) for k in range(m)] for i in range(m)]
     basis = [n + i for i in range(m)]
 
-    def reduced_cost(j: int) -> Fraction:
-        # cost 1 on artificials, 0 on structural columns
-        c_j = Fraction(1) if j >= n else Fraction(0)
-        z = sum((rows[i][j] for i in range(m) if basis[i] >= n), Fraction(0))
-        return c_j - z
-
-    total = n + m
     while True:
-        entering = next((j for j in range(total) if reduced_cost(j) < 0), None)
-        if entering is None:
-            break
-        # Bland's rule: smallest ratio, ties by smallest basis label.
+        # pi = c_B B^-1 with cost 1 on artificials, 0 on structural columns.
+        pi = [sum((binv[i][k] for i in range(m) if basis[i] >= n), Fraction(0)) for k in range(m)]
+        scale = lcm(*(p.denominator for p in pi))
+        price = [p.numerator * (scale // p.denominator) for p in pi]
+        # Bland's rule: the first column with a negative reduced cost enters.
+        # A structural column's is -pi.a_j, an artificial's 1 - pi_k.
+        entering = next(
+            (j for j, (rows, nums, _) in enumerate(sparse) if sum(price[i] * a for i, a in zip(rows, nums)) > 0),
+            None,
+        )
+        if entering is not None:
+            rows, nums, den = sparse[entering]
+            d = [sum((r[i] * a for i, a in zip(rows, nums)), Fraction(0)) / den for r in binv]
+        else:
+            k = next((k for k in range(m) if price[k] > scale), None)
+            if k is None:
+                break
+            entering = n + k
+            d = [r[k] for r in binv]
+        # Smallest ratio, ties by smallest basis label.
         pivot_row = None
         best = None
         for i in range(m):
-            a = rows[i][entering]
+            a = d[i]
             if a > 0:
                 ratio = rhs[i] / a
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
@@ -63,13 +92,14 @@ def feasible_combination(
                     pivot_row = i
         if pivot_row is None:
             raise RuntimeError("phase-1 objective unbounded; cannot happen")
-        piv = rows[pivot_row][entering]
-        rows[pivot_row] = [v / piv for v in rows[pivot_row]]
+        piv = d[pivot_row]
+        row = [v / piv for v in binv[pivot_row]]
+        binv[pivot_row] = row
         rhs[pivot_row] /= piv
         for i in range(m):
-            if i != pivot_row and rows[i][entering] != 0:
-                f = rows[i][entering]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[pivot_row])]
+            f = d[i]
+            if i != pivot_row and f != 0:
+                binv[i] = [v - f * w if w else v for v, w in zip(binv[i], row)]
                 rhs[i] -= f * rhs[pivot_row]
         basis[pivot_row] = entering
 
@@ -78,9 +108,5 @@ def feasible_combination(
         solution = {basis[i]: rhs[i] for i in range(m) if basis[i] < n and rhs[i] != 0}
         return solution, None
 
-    # Infeasible: y = c_B B^-1 read off the artificial columns, undo row flips.
-    y = tuple(
-        signs[k] * sum((rows[i][n + k] for i in range(m) if basis[i] >= n), Fraction(0))
-        for k in range(m)
-    )
-    return None, y
+    # Infeasible: y = c_B B^-1 from the last pricing pass, row flips undone.
+    return None, tuple(s * p for s, p in zip(signs, pi))

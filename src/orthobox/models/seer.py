@@ -90,8 +90,13 @@ class SeerModel(Model):
                     f"box {box} on side {query.side} is forced both full and empty"
                 )
             return [(existing, SeerState(state.contents, new_opened), Fraction(1))]
+        if q == 1:
+            weights = ((True, q),)
+        elif q == 0:
+            weights = ((False, 1),)
+        else:
+            weights = ((True, q), (False, 1 - q))
         return [
             (value, SeerState(state.contents[:i] + (value,) + state.contents[i + 1:], new_opened), p)
-            for value, p in ((True, q), (False, 1 - q))
-            if p
+            for value, p in weights
         ]

@@ -4,11 +4,12 @@ Run from the repository root, and only when a change of output is intended:
 
     PYTHONPATH=src python3 tests/golden_record.py
 
-It writes the seeded random plans to ``tests/golden/plans/``, each case's
-stdout to ``tests/golden/<case>.out``, each file a case writes to
+It writes the seeded random plans to ``tests/golden/plans/``, the odd-cycle
+scenarios to ``tests/golden/scenarios/``, each case's stdout to
+``tests/golden/<case>.out``, each file a case writes to
 ``tests/golden/<case>.<file>``, and every case's argv, exit code and written
-files to ``tests/golden/cases.json``.  Plan paths in argv are stored as
-``{plans}/<name>.plan``.
+files to ``tests/golden/cases.json``.  Plan and scenario paths in argv are
+stored as ``{plans}/<name>.plan`` and ``{scenarios}/<name>.json``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from orthobox.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PLANS = GOLDEN / "plans"
+SCENARIOS = GOLDEN / "scenarios"
 
 BOXES = ("A", "B", "C")
 PAIRS = ("AB", "BC", "CA")
@@ -59,6 +61,17 @@ def random_plan(rng: random.Random, model: str, depth: int = 4) -> str:
 
     emit(0, depth)
     return "\n".join(lines) + "\n"
+
+
+def cycle_scenario(n: int, marginal: str) -> str:
+    """The n-cycle p0 - p1 - ... - p(n-1) - p0 with one marginal everywhere."""
+    nodes = [f"p{i}" for i in range(n)]
+    data = {
+        "propositions": nodes,
+        "joint_sets": [sorted((nodes[i], nodes[(i + 1) % n])) for i in range(n)],
+        "marginals": [marginal] * n,
+    }
+    return json.dumps(data, indent=1) + "\n"
 
 
 def _simulate(model: str, flavor: str | None, plan: str, seed: int | None) -> list[str]:
@@ -103,12 +116,19 @@ def cases() -> dict[str, dict]:
     add("verify-theorem-csv-exact", ["verify-theorem", "--grid", "12", "--csv", "sweep.csv", "--exact"], ("sweep.csv",))
     for scenario in ("specker_triple", "firefly", "lsw"):
         add(f"check-{scenario}-verbose", ["check", scenario, "--verbose"])
+    # Odd cycles on the feasible odd-cycle facet, (n-1)/2n, and past it at 1/2:
+    # hundreds of degenerate pivots pin the simplex's witness and functional.
+    SCENARIOS.mkdir(exist_ok=True)
+    for n, marginal, kind in ((11, "5/11", "boundary"), (13, "6/13", "boundary"), (13, "1/2", "half")):
+        name = f"cycle{n}_{kind}"
+        (SCENARIOS / f"{name}.json").write_text(cycle_scenario(n, marginal))
+        add(f"check-{name}-verbose", ["check", "{scenarios}/" + f"{name}.json", "--verbose"])
     return found
 
 
 def run_case(argv: list[str], workdir: Path) -> tuple[int, str]:
     """Exit code and stdout of one in-process CLI call run inside ``workdir``."""
-    argv = [a.replace("{plans}", str(PLANS)) for a in argv]
+    argv = [a.replace("{plans}", str(PLANS)).replace("{scenarios}", str(SCENARIOS)) for a in argv]
     out = io.StringIO()
     previous = os.getcwd()
     os.chdir(workdir)

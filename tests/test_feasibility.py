@@ -4,7 +4,9 @@ The oracle decides whether the marginal vector lies in the convex hull of
 the admissible assignments by enumerating candidate supports and solving
 each small linear system exactly, with no pivoting logic shared with the
 production solver, over its own brute-force subset filter rather than the
-production clique enumerator.
+production clique enumerator.  The revised simplex is also held to the dense
+tableau it replaced (``tests/dense_tableau.py``): the same Bland pivots must
+give the very same witness and separating functional.
 """
 
 from fractions import Fraction
@@ -12,7 +14,10 @@ from itertools import combinations
 
 import pytest
 
-from orthobox.behavior import admissible_assignments, check_exclusivity, joint_feasibility
+import dense_tableau
+from orthobox import behavior
+from orthobox.behavior import CertificateError, admissible_assignments, check_exclusivity, joint_feasibility
+from orthobox.cli import main
 from orthobox.linprog import feasible_combination
 from orthobox.rng import SplitMix64
 from orthobox.scenario import MarginalVector, cliques, orthogonality_graph, specker_triple
@@ -308,3 +313,125 @@ class TestCliquesAgainstNetworkx:
             cert = joint_feasibility(g, m)
             check_certificate(g, m, cert)
             assert joint_feasibility(nxg, m) == cert
+
+
+def odd_cycle(n: int) -> dict[str, set[str]]:
+    nodes = [f"p{i}" for i in range(n)]
+    return {v: {nodes[i - 1], nodes[(i + 1) % n]} for i, v in enumerate(nodes)}
+
+
+def mixture_marginals(rng: SplitMix64, g) -> MarginalVector:
+    """Marginals of a seeded mixture of a few independent sets: feasible by construction."""
+    sets = brute_force_subsets(g, adjacent=False)
+    weights = [1 + rng.randrange(6) for _ in range(1 + rng.randrange(4))]
+    total = sum(weights)
+    mass = {v: Fraction(0) for v in g}
+    for w in weights:
+        for v in sets[rng.randrange(len(sets))]:
+            mass[v] += Fraction(w, total)
+    return MarginalVector(mass)
+
+
+class TestAgainstDenseTableau:
+    """Identical certificates from the revised simplex and the dense tableau."""
+
+    def both(self, monkeypatch, g, m):
+        revised = joint_feasibility(g, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(behavior, "feasible_combination", dense_tableau.feasible_combination)
+            dense = joint_feasibility(g, m)
+        return revised, dense
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 11, 13])
+    @pytest.mark.parametrize("boundary", [True, False])
+    def test_odd_cycles(self, monkeypatch, n, boundary):
+        # (n-1)/2n sits on the odd-cycle facet (feasible); 1/2 is past it.
+        g = odd_cycle(n)
+        m = MarginalVector({v: Fraction(n - 1, 2 * n) if boundary else Fraction(1, 2) for v in g})
+        revised, dense = self.both(monkeypatch, g, m)
+        assert revised == dense
+        assert revised.feasible == boundary
+
+    def test_seeded_random_graphs(self, monkeypatch):
+        rng = SplitMix64(43)
+        verdicts = set()
+        for case in range(160):
+            g = random_graph(rng, 1 + rng.randrange(8))
+            if case % 2:
+                m = mixture_marginals(rng, g)
+            else:
+                dens = {v: 1 + rng.randrange(9) for v in g}
+                m = MarginalVector({v: Fraction(rng.randrange(dens[v] + 1), dens[v]) for v in g})
+            revised, dense = self.both(monkeypatch, g, m)
+            assert revised == dense
+            verdicts.add(revised.feasible)
+        assert verdicts == {True, False}
+
+    def test_direct_calls_with_flipped_rows_and_fractional_columns(self):
+        # Negative targets flip rows; entries with mixed denominators exercise
+        # each column's common denominator and the integer pricing.
+        rng = SplitMix64(47)
+        verdicts = set()
+        flipped = 0
+        for _ in range(200):
+            rows, cols = 1 + rng.randrange(5), rng.randrange(9)
+
+            def entry(den: int) -> Fraction:
+                return Fraction(rng.randrange(13) - 6, 1 + rng.randrange(den))
+
+            columns = [tuple(entry(5) for _ in range(rows)) for _ in range(cols)]
+            target = tuple(entry(4) for _ in range(rows))
+            flipped += any(t < 0 for t in target)
+            result = feasible_combination(columns, target)
+            assert result == dense_tableau.feasible_combination(columns, target)
+            verdicts.add(result[1] is None)
+        assert verdicts == {True, False}
+        assert flipped > 50
+
+
+class TestCertificateSelfCheck:
+    """``joint_feasibility`` refuses a certificate that does not prove its verdict."""
+
+    def corrupt(self, monkeypatch, change):
+        def solver(columns, target):
+            return change(*feasible_combination(columns, target))
+
+        monkeypatch.setattr(behavior, "feasible_combination", solver)
+
+    def test_shifted_witness_weight_raises(self, monkeypatch):
+        s, _ = specker_triple()
+        m = MarginalVector({p: Fraction(1, 3) for p in "ABC"})
+
+        def shift(solution, farkas):
+            first, second = sorted(solution)[:2]
+            return {**solution, first: solution[first] + Fraction(1, 6), second: solution[second] - Fraction(1, 6)}, farkas
+
+        self.corrupt(monkeypatch, shift)
+        with pytest.raises(CertificateError, match="mass"):
+            joint_feasibility(orthogonality_graph(s), m)
+
+    def test_witness_not_summing_to_one_raises(self, monkeypatch):
+        s, _ = specker_triple()
+        m = MarginalVector({p: Fraction(1, 3) for p in "ABC"})
+        self.corrupt(monkeypatch, lambda solution, farkas: ({j: w / 2 for j, w in solution.items()}, farkas))
+        with pytest.raises(CertificateError, match="probability distribution"):
+            joint_feasibility(orthogonality_graph(s), m)
+
+    def test_functional_positive_on_an_assignment_raises(self, monkeypatch):
+        # Raising the constant keeps the functional positive at the marginals
+        # but makes it positive on the empty assignment too.
+        s, m = specker_triple()
+        self.corrupt(monkeypatch, lambda solution, y: (solution, y[:-1] + (y[-1] + 2,)))
+        with pytest.raises(CertificateError, match="positive on"):
+            joint_feasibility(orthogonality_graph(s), m)
+
+    def test_functional_not_positive_at_marginals_raises(self, monkeypatch):
+        s, m = specker_triple()
+        self.corrupt(monkeypatch, lambda solution, y: (solution, tuple(-c for c in y)))
+        with pytest.raises(CertificateError, match="not positive at the marginals"):
+            joint_feasibility(orthogonality_graph(s), m)
+
+    def test_cli_reports_a_failed_certificate_with_exit_1(self, monkeypatch, capsys):
+        self.corrupt(monkeypatch, lambda solution, y: (solution, tuple(-c for c in y)))
+        assert main(["check", "specker_triple"]) == 1
+        assert "certificate check failed: separating functional" in capsys.readouterr().err
