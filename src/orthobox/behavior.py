@@ -128,21 +128,21 @@ def admissible_assignments(graph: Graph) -> list[frozenset]:
 def joint_feasibility(graph: Graph, marginals: MarginalVector) -> FeasibilityCertificate:
     """Decide whether some distribution over admissible assignments has the given marginals.
 
-    Exact rational phase-1 simplex with the deterministic assignments as
-    columns.  The feasible witness reproduces all marginals exactly; the
-    infeasible certificate separates the marginal vector from the admissible
-    polytope.  Either certificate is checked here before it is returned: a
-    witness must be nonnegative, sum to 1 and reproduce every marginal; a
-    functional must be positive at the marginals and at most 0 on every
-    admissible assignment, by one more pricing pass over them in integers.
-    A certificate that fails raises :class:`CertificateError`.
+    Exact rational phase-1 simplex with one row per proposition (sorted) and
+    a normalization row, one 0/1 column per admissible assignment, passed
+    as its row set (its true propositions' rows and the normalization row),
+    and the marginals with a trailing 1 as target.  The feasible witness
+    reproduces all marginals exactly; the infeasible certificate separates
+    the marginal vector from the admissible (stable-set) polytope.  Either
+    certificate is checked here before it is returned: a witness must be
+    nonnegative, sum to 1 and reproduce every marginal; a functional must be
+    positive at the marginals and at most 0 on every admissible assignment,
+    by one more pricing pass over them in integers.  A certificate that
+    fails raises :class:`CertificateError`.
     """
     nodes = sorted(graph)
     assignments = admissible_assignments(graph)
-    columns = [
-        tuple(Fraction(1) if v in s else Fraction(0) for v in nodes) + (Fraction(1),)
-        for s in assignments
-    ]
+    columns = [tuple(i for i, v in enumerate(nodes) if v in s) + (len(nodes),) for s in assignments]
     target = tuple(marginals[v] for v in nodes) + (Fraction(1),)
     solution, farkas = feasible_combination(columns, target)
     if farkas is None:
@@ -260,15 +260,21 @@ def enumerate_pr_boxes() -> list[BehaviorTable]:
 
 
 def is_pr_box(box: BehaviorTable) -> bool:
+    """Whether a 2x2-setting ±1 box is one of the eight PR boxes, whatever its
+    setting labels: every setting pair is uniform over the two outcome pairs
+    of one product sign, and the four signs multiply to -1."""
     if any(len(s) != 2 for s in box.settings):
         raise BehaviorError("PR-box test requires a 2x2-setting table")
     if any(set(o) != {PLUS, MINUS} for o in box.outcomes):
         return False
-    relabeled = {
-        tuple(PR_SETTINGS[p][box.settings[p].index(s)] for p, s in enumerate(combo)): dict(dist)
-        for combo, dist in box.table.items()
-    }
-    return any(relabeled == dict(candidate.table) for candidate in enumerate_pr_boxes())
+    sign = 1
+    for combo in product(*box.settings):
+        dist = box.table[combo]
+        signs = {a * b for a, b in dist}
+        if len(dist) != 2 or len(signs) != 1 or set(dist.values()) != {Fraction(1, 2)}:
+            return False
+        sign *= signs.pop()
+    return sign == -1
 
 
 def box_to_json(box: BehaviorTable) -> str:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +17,7 @@ from orthobox.behavior import (
     is_pr_box,
     no_signalling_check,
 )
+from orthobox.rng import SplitMix64
 
 SETTINGS = (("a", "a'"), ("b", "b'"))
 OUTCOMES = ((PLUS, MINUS), (PLUS, MINUS))
@@ -198,6 +199,66 @@ class TestPrBoxes:
         box = BehaviorTable(SETTINGS, OUTCOMES, table)
         assert is_pr_box(box)
         assert chsh(box).value == 4
+
+
+def canonical_member(box):
+    """The membership test the rule replaced: relabel the settings by
+    position and compare the table with each of the eight canonical boxes."""
+    canonical = enumerate_pr_boxes()
+    if any(set(o) != {PLUS, MINUS} for o in box.outcomes):
+        return False
+    labels = canonical[0].settings
+    relabeled = {
+        tuple(labels[p][box.settings[p].index(s)] for p, s in enumerate(combo)): dict(dist)
+        for combo, dist in box.table.items()
+    }
+    return any(relabeled == dict(c.table) for c in canonical)
+
+
+PAIRS = list(product((PLUS, MINUS), repeat=2))
+
+
+class TestPrBoxRule:
+    """``is_pr_box`` by rule agrees with comparing against the canonical tables."""
+
+    def test_every_uniform_two_point_table(self):
+        # Each setting pair uniform over two of the four outcome pairs: 6^4 tables.
+        supports = list(combinations(PAIRS, 2))
+        members = 0
+        for choice in product(supports, repeat=4):
+            table = {
+                combo: {outs: Fraction(1, 2) for outs in support}
+                for combo, support in zip(product(*SETTINGS), choice)
+            }
+            box = BehaviorTable(SETTINGS, OUTCOMES, table)
+            assert is_pr_box(box) == canonical_member(box)
+            members += is_pr_box(box)
+        assert members == 8
+
+    def test_seeded_quarter_grid_tables(self):
+        # Half the setting pairs get a uniform two-point distribution, the
+        # rest four quarters spread at random; labels and outcome order vary.
+        rng = SplitMix64(53)
+        verdicts = []
+        for _ in range(2000):
+            settings = tuple(s[::-1] if rng.randrange(2) else s for s in SETTINGS)
+            outcomes = tuple(o[::-1] if rng.randrange(2) else o for o in OUTCOMES)
+            table = {}
+            for combo in product(*settings):
+                dist = dict.fromkeys(PAIRS, Fraction(0))
+                if rng.randrange(2):
+                    sign = (PLUS, MINUS)[rng.randrange(2)]
+                    for a, b in PAIRS:
+                        if a * b == sign:
+                            dist[(a, b)] = Fraction(1, 2)
+                else:
+                    for _ in range(4):
+                        dist[PAIRS[rng.randrange(4)]] += Fraction(1, 4)
+                table[combo] = dist
+            box = BehaviorTable(settings, outcomes, table)
+            assert is_pr_box(box) == canonical_member(box)
+            verdicts.append(is_pr_box(box))
+        assert 50 < sum(verdicts) < 1950
 
 
 class TestSerialization:

@@ -5,8 +5,9 @@ the admissible assignments by enumerating candidate supports and solving
 each small linear system exactly, with no pivoting logic shared with the
 production solver, over its own brute-force subset filter rather than the
 production clique enumerator.  The revised simplex is also held to the dense
-tableau it replaced (``tests/dense_tableau.py``): the same Bland pivots must
-give the very same witness and separating functional.
+tableau it replaced (``tests/dense_tableau.py``), given the 0/1 vectors that
+the row-set columns stand for: the same Bland pivots must give the very same
+witness and separating functional.
 """
 
 from fractions import Fraction
@@ -234,22 +235,26 @@ class TestAgainstOracle:
 
 
 class TestLowLevelSolver:
+    # Columns are row sets: the rows where the 0/1 column is 1.
     def test_infeasible_certificate_direction(self):
         # target outside the cone of a single column
-        columns = [(Fraction(1), Fraction(0))]
+        columns = [(0,)]
         target = (Fraction(0), Fraction(1))
         solution, farkas = feasible_combination(columns, target)
         assert solution is None
-        y_dot_target = sum(y * t for y, t in zip(farkas, target))
-        assert y_dot_target > 0
-        assert sum(y * c for y, c in zip(farkas, columns[0])) <= 0
+        assert sum(y * t for y, t in zip(farkas, target)) > 0
+        assert farkas[0] <= 0
 
     def test_exact_solution(self):
-        columns = [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(0))]
+        columns = [(0, 1), (0,)]
         target = (Fraction(1), Fraction(1, 3))
         solution, farkas = feasible_combination(columns, target)
         assert farkas is None
         assert solution == {0: Fraction(1, 3), 1: Fraction(2, 3)}
+
+    def test_negative_target_entry_raises(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            feasible_combination([(0,), (1,)], (Fraction(1, 2), Fraction(-1, 3)))
 
 
 def random_graph(rng: SplitMix64, n: int) -> dict[str, set[str]]:
@@ -332,13 +337,19 @@ def mixture_marginals(rng: SplitMix64, g) -> MarginalVector:
     return MarginalVector(mass)
 
 
+def densified(columns, target):
+    """The dense tableau on the 0/1 vectors that row-set columns stand for."""
+    dense = [tuple(Fraction(int(i in rows)) for i in range(len(target))) for rows in columns]
+    return dense_tableau.feasible_combination(dense, target)
+
+
 class TestAgainstDenseTableau:
     """Identical certificates from the revised simplex and the dense tableau."""
 
     def both(self, monkeypatch, g, m):
         revised = joint_feasibility(g, m)
         with monkeypatch.context() as patch:
-            patch.setattr(behavior, "feasible_combination", dense_tableau.feasible_combination)
+            patch.setattr(behavior, "feasible_combination", densified)
             dense = joint_feasibility(g, m)
         return revised, dense
 
@@ -367,26 +378,28 @@ class TestAgainstDenseTableau:
             verdicts.add(revised.feasible)
         assert verdicts == {True, False}
 
-    def test_direct_calls_with_flipped_rows_and_fractional_columns(self):
-        # Negative targets flip rows; entries with mixed denominators exercise
-        # each column's common denominator and the integer pricing.
+    def test_direct_calls_with_row_set_columns(self):
+        # Random 0/1 columns, some empty and some repeated, against random
+        # nonnegative rational targets.
         rng = SplitMix64(47)
         verdicts = set()
-        flipped = 0
+        empty = repeated = 0
         for _ in range(200):
             rows, cols = 1 + rng.randrange(5), rng.randrange(9)
-
-            def entry(den: int) -> Fraction:
-                return Fraction(rng.randrange(13) - 6, 1 + rng.randrange(den))
-
-            columns = [tuple(entry(5) for _ in range(rows)) for _ in range(cols)]
-            target = tuple(entry(4) for _ in range(rows))
-            flipped += any(t < 0 for t in target)
+            columns = []
+            for _ in range(cols):
+                if columns and rng.randrange(4) == 0:
+                    columns.append(columns[rng.randrange(len(columns))])
+                    repeated += 1
+                else:
+                    columns.append(tuple(i for i in range(rows) if rng.randrange(2)))
+                    empty += not columns[-1]
+            target = tuple(Fraction(rng.randrange(7), 1 + rng.randrange(4)) for _ in range(rows))
             result = feasible_combination(columns, target)
-            assert result == dense_tableau.feasible_combination(columns, target)
+            assert result == densified(columns, target)
             verdicts.add(result[1] is None)
         assert verdicts == {True, False}
-        assert flipped > 50
+        assert empty > 20 and repeated > 50
 
 
 class TestCertificateSelfCheck:
