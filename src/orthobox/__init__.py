@@ -43,7 +43,6 @@ from .scenario import (
     MarginalVector,
     OrthoScenario,
     coarse_grain_to_three,
-    find_minimal_non_specker,
     is_specker,
     load_scenario_file,
     orthogonality_graph,

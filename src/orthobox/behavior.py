@@ -12,7 +12,6 @@ mapping to +1 at module boundaries.
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -20,7 +19,7 @@ from math import lcm
 from typing import Hashable, Mapping, NamedTuple
 
 from .linprog import feasible_combination
-from .rational import check_probability, format_rational, parse_rational
+from .rational import check_probability, format_rational
 from .scenario import Graph, MarginalVector, cliques
 
 Outcome = Hashable
@@ -43,7 +42,8 @@ class BehaviorTable:
     ``table[settings][outcomes]`` is the exact probability of the joint
     outcome tuple given the setting tuple (one entry per party in each).
     Missing outcome tuples mean probability zero.  Immutable; operations on
-    tables are pure.
+    tables are pure.  A table is a value: tables with the same settings,
+    outcomes and nonzero entries compare and hash equal.
     """
 
     settings: tuple[tuple[Setting, ...], ...]
@@ -73,6 +73,10 @@ class BehaviorTable:
                 raise BehaviorError(f"distribution for {combo} sums to {format_rational(total)}, not 1")
             frozen[combo] = clean
         object.__setattr__(self, "table", frozen)
+
+    def __hash__(self) -> int:
+        entries = frozenset((combo, frozenset(dist.items())) for combo, dist in self.table.items())
+        return hash((self.settings, self.outcomes, entries))
 
     def marginal(self, party: int, combo: tuple[Setting, ...]) -> dict[Outcome, Fraction]:
         dist: dict[Outcome, Fraction] = {o: Fraction(0) for o in self.outcomes[party]}
@@ -275,40 +279,6 @@ def is_pr_box(box: BehaviorTable) -> bool:
             return False
         sign *= signs.pop()
     return sign == -1
-
-
-def box_to_json(box: BehaviorTable) -> str:
-    data = {
-        "settings": [list(s) for s in box.settings],
-        "outcomes": [list(o) for o in box.outcomes],
-        "table": {
-            "|".join(combo): {
-                "|".join(str(o) for o in outs): format_rational(p) for outs, p in sorted(dist.items(), key=str)
-            }
-            for combo, dist in sorted(box.table.items())
-        },
-    }
-    return json.dumps(data, indent=2) + "\n"
-
-
-def box_from_json(text: str) -> BehaviorTable:
-    data = json.loads(text)
-    outcomes = tuple(tuple(o) for o in data["outcomes"])
-
-    def parse_outcome(token: str, party: int) -> Outcome:
-        for o in outcomes[party]:
-            if str(o) == token:
-                return o
-        raise BehaviorError(f"unknown outcome token {token!r}")
-
-    table = {}
-    for combo_key, dist in data["table"].items():
-        combo = tuple(combo_key.split("|"))
-        table[combo] = {
-            tuple(parse_outcome(tok, i) for i, tok in enumerate(out_key.split("|"))): parse_rational(p)
-            for out_key, p in dist.items()
-        }
-    return BehaviorTable(tuple(tuple(s) for s in data["settings"]), outcomes, table)
 
 
 def correlators_csv(box: BehaviorTable) -> str:

@@ -26,7 +26,6 @@ import numpy as np
 from . import quantumref
 from .behavior import (
     CertificateError,
-    box_to_json,
     check_exclusivity,
     chsh,
     correlators_csv,
@@ -270,7 +269,7 @@ def cmd_pr_boxes(args) -> int:
     if args.model is None:
         boxes = enumerate_pr_boxes()
         print(f"canonical boxes: {len(boxes)}")
-        distinct = {box_to_json(b) for b in boxes}
+        distinct = set(boxes)
         print(f"distinct: {len(distinct)}")
         for i, box in enumerate(boxes):
             result = chsh(box)
@@ -296,7 +295,7 @@ def cmd_pr_boxes(args) -> int:
     print(f"matches a canonical box: {'yes' if is_pr_box(box) else 'NO'}")
     if args.model in ("seer", "firefly"):
         sweep = sweep_pr_interpretations(model)
-        seen = Counter(box_to_json(swept) for _, swept in sweep)
+        seen = Counter(swept for _, swept in sweep)
         all_pr = all(is_pr_box(b) for _, b in sweep)
         print(
             f"sweep over {len(sweep)} interpretations: {len(seen)} distinct boxes, "

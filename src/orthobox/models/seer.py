@@ -39,6 +39,8 @@ class SeerModel(Model):
     def __init__(self, marginals: Mapping[str, Fraction] | None = None):
         if marginals is None:
             marginals = {b: Fraction(1, 2) for b in BOXES}
+        if set(marginals) != set(BOXES):
+            raise ValueError(f"seer marginals need exactly the boxes {', '.join(BOXES)}, got {list(marginals)}")
         self.marginals = {b: Fraction(marginals[b]) for b in BOXES}
         for b, p in self.marginals.items():
             if not 0 < p < 1:

@@ -309,7 +309,6 @@ def test_assumption_c(model: Model) -> AssumptionVerdict:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    model_name: str
     a: AssumptionVerdict
     b: AssumptionVerdict
     c: AssumptionVerdict
@@ -319,12 +318,7 @@ class AssumptionReport:
 
 
 def assumption_report(model: Model) -> AssumptionReport:
-    return AssumptionReport(
-        model.name,
-        test_assumption_a(model),
-        test_assumption_b(model),
-        test_assumption_c(model),
-    )
+    return AssumptionReport(test_assumption_a(model), test_assumption_b(model), test_assumption_c(model))
 
 
 # ---------------------------------------------------------------------------

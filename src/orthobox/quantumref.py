@@ -74,9 +74,8 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_projector_pair(dim: int, rng: np.random.Generator, rank: int | None = None) -> ProjectorPair:
-    if rank is None:
-        rank = int(rng.integers(1, dim))
+def random_projector_pair(dim: int, rng: np.random.Generator) -> ProjectorPair:
+    rank = int(rng.integers(1, dim))
     u = random_unitary(dim, rng)
     d = np.diag([1.0 + 0j] * rank + [0.0 + 0j] * (dim - rank))
     plus = u @ d @ u.conj().T

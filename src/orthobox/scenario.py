@@ -114,12 +114,6 @@ def find_all_minimal_non_specker(scenario: OrthoScenario) -> list[tuple[Label, .
     return found
 
 
-def find_minimal_non_specker(scenario: OrthoScenario) -> tuple[Label, ...] | None:
-    """First minimal non-Specker set (smallest, then lexicographic), or None."""
-    all_minimal = find_all_minimal_non_specker(scenario)
-    return all_minimal[0] if all_minimal else None
-
-
 def coarse_grain_to_three(scenario: OrthoScenario, minimal_set: Sequence[Label]) -> tuple[OrthoScenario, Label]:
     """Merge all but the first two members of a minimal non-Specker set.
 
@@ -225,19 +219,6 @@ def load_scenario_file(path: str | Path) -> tuple[OrthoScenario, MarginalVector 
         marginals = MarginalVector(values)
         marginals.validate_for(scenario)
     return scenario, marginals
-
-
-def dump_scenario(scenario: OrthoScenario, marginals: MarginalVector | None = None) -> str:
-    data: dict = {
-        "propositions": list(scenario.propositions),
-        "joint_sets": sorted(
-            (sorted(s) for s in scenario.maximal_joint_sets if len(s) > 1),
-            key=lambda s: (len(s), s),
-        ),
-    }
-    if marginals is not None:
-        data["marginals"] = [format_rational(marginals[p]) for p in scenario.propositions]
-    return json.dumps(data, indent=2) + "\n"
 
 
 def specker_triple(marginal: Fraction = Fraction(1, 2)) -> tuple[OrthoScenario, MarginalVector]:

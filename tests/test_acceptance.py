@@ -6,6 +6,7 @@ calibration.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -13,7 +14,6 @@ import numpy as np
 
 from orthobox.behavior import (
     admissible_assignments,
-    box_to_json,
     check_exclusivity,
     chsh,
     is_pr_box,
@@ -220,10 +220,7 @@ def test_criterion_07_pr_boxes():
         if chsh(box).value != 4 or not no_signalling_check(box).ok or not is_pr_box(box):
             ok = False
         sweep = sweep_pr_interpretations(model)
-        counts: dict[str, int] = {}
-        for _, swept in sweep:
-            key = box_to_json(swept)
-            counts[key] = counts.get(key, 0) + 1
+        counts = Counter(swept for _, swept in sweep)
         if len(sweep) != 16 or len(counts) != 8 or sorted(counts.values()) != [2] * 8:
             ok = False
         if not all(is_pr_box(b) and no_signalling_check(b).ok for _, b in sweep):

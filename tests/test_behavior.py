@@ -9,14 +9,14 @@ from orthobox.behavior import (
     BehaviorTable,
     MINUS,
     PLUS,
-    box_from_json,
-    box_to_json,
     chsh,
     correlators_csv,
     enumerate_pr_boxes,
     is_pr_box,
     no_signalling_check,
 )
+from orthobox.models import make_model
+from orthobox.protocols import sweep_pr_interpretations
 from orthobox.rng import SplitMix64
 
 SETTINGS = (("a", "a'"), ("b", "b'"))
@@ -79,6 +79,50 @@ class TestBehaviorTable:
     def test_marginals(self):
         box = product_box(Fraction(1, 4), Fraction(1, 2))
         assert box.marginal(0, ("a", "b")) == {PLUS: Fraction(1, 4), MINUS: Fraction(3, 4)}
+
+
+class TestValueSemantics:
+    def test_entry_order_does_not_matter(self):
+        box = product_box(Fraction(1, 3), Fraction(2, 7))
+        reordered = {
+            combo: dict(reversed(box.table[combo].items())) for combo in reversed(list(box.table))
+        }
+        clone = BehaviorTable(SETTINGS, OUTCOMES, reordered)
+        assert clone == box
+        assert hash(clone) == hash(box)
+
+    def test_explicit_zero_entries_do_not_matter(self):
+        box = deterministic_box(PLUS, MINUS)
+        padded = {
+            combo: {**{outs: Fraction(0) for outs in product(*OUTCOMES)}, (PLUS, MINUS): Fraction(1)}
+            for combo in product(*SETTINGS)
+        }
+        clone = BehaviorTable(SETTINGS, OUTCOMES, padded)
+        assert clone == box
+        assert hash(clone) == hash(box)
+        assert len({box, clone}) == 1
+
+    def test_one_probability_differs(self):
+        assert product_box(Fraction(1, 3), Fraction(2, 7)) != product_box(Fraction(1, 3), Fraction(3, 7))
+        assert len(set(local_deterministic_boxes())) == 16
+
+    def test_setting_label_differs(self):
+        box = deterministic_box()
+        settings = (("a", "a2"), SETTINGS[1])
+        relabelled = BehaviorTable(
+            settings, OUTCOMES, {combo: {(PLUS, PLUS): Fraction(1)} for combo in product(*settings)}
+        )
+        assert relabelled != box
+
+    def test_outcome_order_differs(self):
+        box = product_box(Fraction(1, 3), Fraction(2, 7))
+        flipped = BehaviorTable(SETTINGS, ((MINUS, PLUS), OUTCOMES[1]), box.table)
+        assert flipped != box
+
+    def test_seer_sweep_collapses_to_eight_keys(self):
+        sweep = sweep_pr_interpretations(make_model("seer"))
+        assert len(sweep) == 16
+        assert len(set(box for _, box in sweep)) == 8
 
 
 class TestNoSignalling:
@@ -154,7 +198,7 @@ class TestPrBoxes:
     def test_exactly_eight_distinct(self):
         boxes = enumerate_pr_boxes()
         assert len(boxes) == 8
-        assert len({box_to_json(b) for b in boxes}) == 8
+        assert len(set(boxes)) == 8
 
     def test_uniform_marginals(self):
         for box in enumerate_pr_boxes():
@@ -262,17 +306,6 @@ class TestPrBoxRule:
 
 
 class TestSerialization:
-    def test_round_trip_exact(self):
-        for box in enumerate_pr_boxes():
-            clone = box_from_json(box_to_json(box))
-            assert clone.table == box.table
-            assert clone.settings == box.settings
-
-    def test_round_trip_odd_rationals(self):
-        box = product_box(Fraction(1, 3), Fraction(2, 7))
-        clone = box_from_json(box_to_json(box))
-        assert clone.table == box.table
-
     def test_correlator_csv(self):
         box = enumerate_pr_boxes()[0]
         text = correlators_csv(box)

@@ -13,6 +13,7 @@ from orthobox.models import (
     enumerate_histories,
     exact_distribution,
     history_signature,
+    make_model,
     sample_history,
 )
 from orthobox.models.base import TARGETS
@@ -149,6 +150,17 @@ class TestGeneralMarginals:
             SeerModel({"A": Fraction(1), "B": Fraction(1, 2), "C": Fraction(1, 2)})
         with pytest.raises(ValueError, match="sum past 1"):
             SeerModel({"A": Fraction(3, 4), "B": Fraction(3, 4), "C": Fraction(1, 10)})
+
+    @pytest.mark.parametrize(
+        "marginals",
+        [
+            {"A": Fraction(1, 3)},
+            {"A": Fraction(1, 3), "B": Fraction(1, 3), "C": Fraction(1, 3), "D": Fraction(1, 3)},
+        ],
+    )
+    def test_marginals_must_name_exactly_the_boxes(self, marginals):
+        with pytest.raises(ValueError, match="need exactly the boxes A, B, C"):
+            make_model("seer", marginals=marginals)
 
 
 class TestThirdBox:

@@ -39,11 +39,27 @@ def plans(draw, model, depth):
     return tuple(steps)
 
 
+@st.composite
+def seer_marginals(draw):
+    """Rational marginals for A, B and C strictly inside (0, 1) whose pairwise
+    sums are at most 1, so the seer's branch weights are not all 1/2."""
+    den = draw(st.integers(3, 12))
+    a = draw(st.integers(1, den - 1))
+    b = draw(st.integers(1, den - a))
+    c = draw(st.integers(1, den - max(a, b)))
+    return dict(zip("ABC", (Fraction(n, den) for n in draw(st.permutations([a, b, c])))))
+
+
+def drawn_model(data, name, flavor):
+    marginals = data.draw(seer_marginals(), label="marginals") if name == "seer" else None
+    return make_model(name, flavor=flavor, marginals=marginals)
+
+
 @pytest.mark.parametrize("name, flavor", MODELS, ids=[f"{n}-{f}" for n, f in MODELS])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**64 - 1))
 def test_enumeration_and_sampling_agree(name, flavor, data, seed):
-    model = make_model(name, flavor=flavor)
+    model = drawn_model(data, name, flavor)
     plan = data.draw(plans(model, 4), label="plan")
 
     histories = enumerate_histories(model, plan)
@@ -66,7 +82,7 @@ def test_enumeration_and_sampling_agree(name, flavor, data, seed):
 def test_sampled_frequencies_match_exact(name, flavor, data, seed):
     # Every exact signature's count lies within 5 sigma (plus one count of
     # slack) of n*p, the bound the benchmark oracle applies to printed rates.
-    model = make_model(name, flavor=flavor)
+    model = drawn_model(data, name, flavor)
     plan = data.draw(plans(model, 4), label="plan")
     n, rng = 1000, SplitMix64(seed)
     counts = Counter(history_signature(sample_history(model, plan, rng), model) for _ in range(n))

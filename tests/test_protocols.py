@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from orthobox import cli
-from orthobox.behavior import chsh, is_pr_box, no_signalling_check, box_to_json
+from orthobox.behavior import chsh, is_pr_box, no_signalling_check
 from orthobox.models import InconsistentHistory, Model, enumerate_histories, make_model
 from orthobox.protocols import (
     AliceStrategy,
@@ -216,9 +217,7 @@ class TestRealizePrBox:
         for name in ("seer", "firefly"):
             sweep = sweep_pr_interpretations(make_model(name))
             assert len(sweep) == 16
-            counts = {}
-            for _, box in sweep:
-                counts[box_to_json(box)] = counts.get(box_to_json(box), 0) + 1
+            counts = Counter(box for _, box in sweep)
             assert len(counts) == 8
             assert sorted(counts.values()) == [2] * 8
             assert all(is_pr_box(box) for _, box in sweep)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,7 @@ from orthobox.scenario import (
     ScenarioError,
     cliques,
     coarse_grain_to_three,
-    dump_scenario,
     find_all_minimal_non_specker,
-    find_minimal_non_specker,
     is_specker,
     load_scenario_file,
     orthogonality_graph,
@@ -96,21 +95,21 @@ class TestIsSpecker:
     def test_agrees_with_minimal_search(self):
         for scenario in (specker_triple()[0], five_set_scenario(),
                          OrthoScenario.from_sets("ABCD", [["A", "B"], ["B", "C"], ["C", "D"], ["D", "A"]])):
-            assert is_specker(scenario) == (find_minimal_non_specker(scenario) is None)
+            assert is_specker(scenario) == (find_all_minimal_non_specker(scenario) == [])
 
 
 class TestMinimalNonSpecker:
     def test_triangle(self):
         s, _ = specker_triple()
-        assert find_minimal_non_specker(s) == ("A", "B", "C")
+        assert find_all_minimal_non_specker(s) == [("A", "B", "C")]
 
     def test_full_power_set_none(self):
         s = OrthoScenario.from_sets("ABC", [["A", "B", "C"]])
-        assert find_minimal_non_specker(s) is None
+        assert find_all_minimal_non_specker(s) == []
 
     def test_five_set(self):
         s = five_set_scenario()
-        assert find_minimal_non_specker(s) == ("A1", "A2", "A3", "A4", "A5")
+        assert find_all_minimal_non_specker(s) == [("A1", "A2", "A3", "A4", "A5")]
 
     def test_tie_break_smallest_then_lexicographic(self):
         # Two disjoint triangles; DEF's triple also missing, ABC wins the tie.
@@ -120,7 +119,6 @@ class TestMinimalNonSpecker:
         )
         found = find_all_minimal_non_specker(s)
         assert found == [("A", "B", "C"), ("D", "E", "F")]
-        assert find_minimal_non_specker(s) == ("A", "B", "C")
 
 
 class TestCoarseGrain:
@@ -134,7 +132,7 @@ class TestCoarseGrain:
         s = five_set_scenario()
         out, merged = coarse_grain_to_three(s, ("A1", "A2", "A3", "A4", "A5"))
         assert out.propositions == ("A1", "A2", merged)
-        assert find_minimal_non_specker(out) == ("A1", "A2", merged)
+        assert find_all_minimal_non_specker(out) == [("A1", "A2", merged)]
 
     def test_marginals_merge_additively(self):
         mv = MarginalVector(
@@ -159,10 +157,10 @@ class TestCoarseGrain:
         labels = [f"P{i}" for i in range(n)]
         subsets = [[l for l in labels if l != skip] for skip in labels]
         s = OrthoScenario.from_sets(labels, subsets)
-        m = find_minimal_non_specker(s)
+        [m] = find_all_minimal_non_specker(s)
         assert m == tuple(labels)
         out, merged = coarse_grain_to_three(s, m)
-        assert find_minimal_non_specker(out) == tuple(sorted(["P0", "P1", merged]))
+        assert find_all_minimal_non_specker(out) == [tuple(sorted(["P0", "P1", merged]))]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -213,7 +211,8 @@ class TestScenarioFiles:
     def test_round_trip(self, tmp_path):
         s, m = specker_triple()
         path = tmp_path / "triple.json"
-        path.write_text(dump_scenario(s, m))
+        data = {"propositions": ["A", "B", "C"], "joint_sets": TRIANGLE_SETS, "marginals": ["1/2"] * 3}
+        path.write_text(json.dumps(data))
         s2, m2 = load_scenario_file(path)
         assert s2 == s
         assert m2.values == m.values
