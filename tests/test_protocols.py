@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,7 @@ from orthobox.protocols import (
     simulate_fable,
     sweep_pr_interpretations,
 )
+from orthobox.protocols import _interleavings
 from orthobox.protocols import test_assumption_a as assumption_a
 from orthobox.protocols import test_assumption_b as assumption_b
 from orthobox.protocols import test_assumption_c as assumption_c
@@ -44,6 +46,37 @@ class ForbiddenAfter(Model):
             raise InconsistentHistory(f"no answer after {self.allowed} queries")
         coin = lambda st, side, box, q: [(True, state + 1, Fraction(1, 2)), (False, state + 1, Fraction(1, 2))]
         return self.box_by_box(state, query, coin)
+
+
+class AlwaysFull(Model):
+    """Stub model: every box reads full, whoever opens it and whenever."""
+
+    name = "stub"
+
+    def initial_states(self):
+        return [(0, Fraction(1))]
+
+    def step(self, state, query):
+        return [(tuple((box, True) for box in query.boxes), state, Fraction(1))]
+
+
+class FirstQueryCoins(Model):
+    """Stub model: the boxes of a session's first query are fair coins and
+    every box opened later reads empty, so the order of opening matters."""
+
+    name = "stub"
+
+    def initial_states(self):
+        return [(0, Fraction(1))]
+
+    def step(self, state, query):
+        if state:
+            return [(tuple((box, False) for box in query.boxes), 1, Fraction(1))]
+        n = len(query.boxes)
+        return [
+            (tuple(zip(query.boxes, values)), 1, Fraction(1, 2**n))
+            for values in product((True, False), repeat=n)
+        ]
 
 
 class TestBobMarginal:
@@ -162,6 +195,45 @@ class TestAssumptionMatrix:
         verdict = assumption_c(make_model("seer"))
         assert not verdict.holds
         assert verdict.witness.plan
+
+
+class TestWitnessTexts:
+    """The witnesses no bundled model reaches, pinned on stub models."""
+
+    def test_trivial_marginal(self):
+        verdict = assumption_a(AlwaysFull())
+        assert not verdict.holds
+        assert verdict.witness.claim == "trivial marginal: p(A) = 1 in context A on alice"
+        assert [(s.side, s.target) for s in verdict.witness.plan] == [("alice", "A")]
+        assert verdict.witness.detail == ""
+        assert verdict.witness.describe() == "trivial marginal: p(A) = 1 in context A on alice under plan [alice A]"
+
+    def test_order_dependence(self):
+        verdict = assumption_b(FirstQueryCoins())
+        assert not verdict.holds
+        assert verdict.witness.claim == "measuring A and B on alice depends on how they are combined"
+        assert [(s.side, s.target) for s in verdict.witness.plan] == [("alice", "A"), ("alice", "B")]
+        assert verdict.witness.detail == (
+            "A then B: {(True, False): Fraction(1, 2), (False, False): Fraction(1, 2)}; "
+            "B then A: {(False, True): Fraction(1, 2), (False, False): Fraction(1, 2)}; "
+            "AB: {(True, True): Fraction(1, 4), (True, False): Fraction(1, 4), "
+            "(False, True): Fraction(1, 4), (False, False): Fraction(1, 4)}"
+        )
+
+    def test_interleaving_order(self):
+        assert list(_interleavings(("a1", "a2"), ("b1",))) == [
+            ("a1", "a2", "b1"),
+            ("a1", "b1", "a2"),
+            ("b1", "a1", "a2"),
+        ]
+        assert list(_interleavings(("a1", "a2"), ("b1", "b2"))) == [
+            ("a1", "a2", "b1", "b2"),
+            ("a1", "b1", "a2", "b2"),
+            ("a1", "b1", "b2", "a2"),
+            ("b1", "a1", "a2", "b2"),
+            ("b1", "a1", "b2", "a2"),
+            ("b1", "b2", "a1", "a2"),
+        ]
 
 
 class TestFable:
