@@ -245,7 +245,7 @@ def cmd_assumptions(args) -> int:
     if args.format == "csv":
         lines = ["model,assumption,verdict,witness_plan"]
         for label, report in reports:
-            for key, verdict in zip("abc", (report.a, report.b, report.c)):
+            for key, verdict in zip("abc", report):
                 witness = verdict.witness.describe() if verdict.witness else ""
                 lines.append(f"{label},{key},{'pass' if verdict.holds else 'fail'},\"{witness}\"")
         print("\n".join(lines))
@@ -254,12 +254,10 @@ def cmd_assumptions(args) -> int:
     width = max(len(label) for label, _ in reports)
     print(f"{'model':<{width}}  (a) correlation  (b) composability  (c) no-signalling")
     for label, report in reports:
-        cells = []
-        for verdict in (report.a, report.b, report.c):
-            cells.append(_good("pass") if verdict.holds else _bad("FAIL"))
+        cells = [_good("pass") if verdict.holds else _bad("FAIL") for verdict in report]
         print(f"{label:<{width}}  {cells[0]:<15}  {cells[1]:<17}  {cells[2]}")
     for label, report in reports:
-        for key, verdict in zip("abc", (report.a, report.b, report.c)):
+        for key, verdict in zip("abc", report):
             if not verdict.holds:
                 print(f"{label} ({key}): {verdict.witness.describe()}")
     return 0

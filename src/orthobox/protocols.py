@@ -13,15 +13,17 @@ The three assumptions probed for each model:
 All verdicts come from exact enumeration over finite plan spaces: adaptive
 strategies of depth at most two for (c), every interleaved realization of a
 pair of contexts for (a), fresh-session order comparisons for (b).
-Distribution comparisons are exact rational equality throughout.
+Distribution comparisons are exact rational equality throughout.  Every
+distribution is read through ``_distribution``; a forbidden branch in a plan
+run on a fresh session is an ``InconsistentHistory`` naming the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import NamedTuple, Sequence
+from itertools import combinations, product
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .behavior import PLUS, MINUS, BehaviorTable
 from .models import (
@@ -29,6 +31,7 @@ from .models import (
     BOB,
     BOXES,
     PAIRS,
+    History,
     InconsistentHistory,
     Model,
     PlanStep,
@@ -63,6 +66,29 @@ class AliceStrategy:
         return "; ".join(parts)
 
 
+def _describe_plan(plan: Sequence[PlanStep]) -> str:
+    return "; ".join(f"{s.side} {s.target}" for s in plan_steps(plan))
+
+
+def _distribution(model: Model, plan: Sequence[PlanStep], key: Callable[[History], Hashable]) -> dict:
+    """Exact distribution of ``key(history)`` over a plan's histories, with
+    the forbidden ones grouped under ``None``."""
+    return group_histories(enumerate_histories(model, plan), lambda h: None if h.forbidden else key(h))
+
+
+def _fresh_distribution(model: Model, plan: Sequence[PlanStep], key: Callable[[History], Hashable]) -> dict:
+    """``_distribution`` of a plan run on a fresh session, where no branch may be forbidden."""
+    dist = _distribution(model, plan, key)
+    if None in dist:
+        raise InconsistentHistory(f"plan [{_describe_plan(plan)}] cannot be forbidden")
+    return dist
+
+
+def _readings(history: History, side: str, box: str) -> list[bool]:
+    """The values one side read for a box, in step order."""
+    return [dict(outcome)[box] for query, outcome in history.steps if query.side == side and box in query.boxes]
+
+
 class BobMarginal(NamedTuple):
     """Outcome distribution of Bob's query after Alice's strategy ran."""
 
@@ -77,17 +103,14 @@ def bob_marginal(model: Model, strategy: AliceStrategy | None, bob_target: str) 
     ``forbidden_mass`` rather than renormalized away.
     """
     plan = (strategy.plan if strategy else ()) + (PlanStep(BOB, bob_target),)
-    dist = group_histories(
-        enumerate_histories(model, plan),
-        lambda h: None if h.forbidden else model.outcome_key(*h.steps[-1]),
-    )
+    dist = _distribution(model, plan, lambda h: model.outcome_key(*h.steps[-1]))
     return BobMarginal(dist, dist.pop(None, Fraction(0)))
 
 
 def first_outcomes(model: Model, side: str, target: str) -> tuple[str, ...]:
     """Outcome keys a fresh session can produce for one query."""
-    histories = [h for h in enumerate_histories(model, (PlanStep(side, target),)) if not h.forbidden]
-    return tuple(sorted(group_histories(histories, lambda h: model.outcome_key(*h.steps[0]))))
+    dist = _distribution(model, (PlanStep(side, target),), lambda h: model.outcome_key(*h.steps[0]))
+    return tuple(sorted(dist.keys() - {None}))
 
 
 def enumerate_strategies(model: Model) -> list[AliceStrategy]:
@@ -151,8 +174,7 @@ class Witness:
     def describe(self) -> str:
         if not self.plan:
             return self.claim
-        steps = "; ".join(f"{s.side} {s.target}" for s in plan_steps(self.plan))
-        text = f"{self.claim} under plan [{steps}]"
+        text = f"{self.claim} under plan [{_describe_plan(self.plan)}]"
         return f"{text} ({self.detail})" if self.detail else text
 
 
@@ -162,39 +184,20 @@ class AssumptionVerdict(NamedTuple):
 
 
 def _interleavings(a: tuple, b: tuple):
-    if not a:
-        yield b
-        return
-    if not b:
-        yield a
-        return
-    for rest in _interleavings(a[1:], b):
-        yield (a[0],) + rest
-    for rest in _interleavings(a, b[1:]):
-        yield (b[0],) + rest
+    """Every merge of ``a`` and ``b`` keeping each one's order, earliest places for ``a`` first."""
+    n = len(a) + len(b)
+    for slots in combinations(range(n), len(a)):
+        steps_a, steps_b = iter(a), iter(b)
+        yield tuple(next(steps_a) if i in slots else next(steps_b) for i in range(n))
 
 
-def _contexts_containing(model: Model, side: str, box: str) -> list[str]:
-    """Maximal jointly measurable sets (the two-box targets) containing ``box``."""
-    return [t for t in model.admissible_targets(side) if len(t) == 2 and box in t]
-
-
-def _context_realizations(model: Model, side: str, ctx: str) -> list[tuple[str, ...]]:
-    """Ways to measure a context: the joint query, and its boxes singly in each order."""
-    realizations = [(ctx,)]
-    targets = set(model.admissible_targets(side))
-    x, y = tuple(ctx)
-    if x in targets and y in targets:
-        realizations += [(x, y), (y, x)]
-    return realizations
-
-
-def _box_readings(history, side: str, box: str) -> list[bool]:
-    readings = []
-    for query, outcome in history.steps:
-        if query.side == side and box in query.boxes:
-            readings.append(dict(outcome)[box])
-    return readings
+def _realizations(model: Model, side: str, ctx: str) -> list[tuple[PlanStep, ...]]:
+    """Ways to measure a context: the joint query, then, when both its boxes
+    are admissible singly, x then y and y then x."""
+    joint, x, y = (PlanStep(side, t) for t in (ctx, *ctx))
+    if set(ctx) <= set(model.admissible_targets(side)):
+        return [(joint,), (x, y), (y, x)]
+    return [(joint,)]
 
 
 def test_assumption_a(model: Model) -> AssumptionVerdict:
@@ -209,87 +212,48 @@ def test_assumption_a(model: Model) -> AssumptionVerdict:
     for side in (ALICE, BOB):
         for target in model.admissible_targets(side):
             plan = (PlanStep(side, target),)
-            outcomes = group_histories(enumerate_histories(model, plan), lambda h: h.steps[0][1])
+            outcomes = _fresh_distribution(model, plan, lambda h: h.steps[0][1])
             for box in plan[0].query.boxes:
                 p = sum((q for outcome, q in outcomes.items() if dict(outcome)[box]), Fraction(0))
                 if not 0 < p < 1:
-                    return AssumptionVerdict(
-                        False,
-                        Witness(
-                            f"trivial marginal: p({box}) = {p} in context {target} on {side}",
-                            plan,
-                        ),
-                    )
+                    claim = f"trivial marginal: p({box}) = {p} in context {target} on {side}"
+                    return AssumptionVerdict(False, Witness(claim, plan))
 
     for box in BOXES:
-        for ctx_a in _contexts_containing(model, ALICE, box):
-            for ctx_b in _contexts_containing(model, BOB, box):
-                for real_a in _context_realizations(model, ALICE, ctx_a):
-                    alice_steps = tuple(PlanStep(ALICE, t) for t in real_a)
-                    for real_b in _context_realizations(model, BOB, ctx_b):
-                        bob_steps = tuple(PlanStep(BOB, t) for t in real_b)
-                        for plan in _interleavings(alice_steps, bob_steps):
-                            for history in enumerate_histories(model, plan):
-                                if history.forbidden:
-                                    continue
-                                a_vals = _box_readings(history, ALICE, box)
-                                b_vals = _box_readings(history, BOB, box)
-                                if any(av != bv for av in a_vals for bv in b_vals):
-                                    return AssumptionVerdict(
-                                        False,
-                                        Witness(
-                                            f"sides disagree on {box} with probability {history.probability}",
-                                            plan,
-                                            detail=f"alice ({ctx_a}) read {a_vals}, bob ({ctx_b}) read {b_vals}",
-                                        ),
-                                    )
+        contexts = ([t for t in model.admissible_targets(side) if len(t) == 2 and box in t] for side in (ALICE, BOB))
+        for ctx_a, ctx_b in product(*contexts):
+            for real_a, real_b in product(_realizations(model, ALICE, ctx_a), _realizations(model, BOB, ctx_b)):
+                for plan in _interleavings(real_a, real_b):
+                    for history in enumerate_histories(model, plan):
+                        if history.forbidden:
+                            continue
+                        a_vals = _readings(history, ALICE, box)
+                        b_vals = _readings(history, BOB, box)
+                        if any(av != bv for av in a_vals for bv in b_vals):
+                            claim = f"sides disagree on {box} with probability {history.probability}"
+                            detail = f"alice ({ctx_a}) read {a_vals}, bob ({ctx_b}) read {b_vals}"
+                            return AssumptionVerdict(False, Witness(claim, plan, detail))
     return AssumptionVerdict(True, None)
-
-
-def _pair_distribution(model: Model, side: str, steps: Sequence[str], boxes: tuple[str, str]):
-    """Joint distribution of the two box values under a fresh-session plan."""
-    histories = enumerate_histories(model, tuple(PlanStep(side, t) for t in steps))
-    if any(h.forbidden for h in histories):
-        raise InconsistentHistory(f"single-side plan {' then '.join(steps)} on {side} cannot be forbidden")
-
-    def first_readings(history) -> tuple[bool, bool]:
-        # The first reading of a box counts as the measurement result.
-        values = {}
-        for _, outcome in history.steps:
-            for b, v in outcome:
-                values.setdefault(b, v)
-        return (values[boxes[0]], values[boxes[1]])
-
-    return group_histories(histories, first_readings)
 
 
 def test_assumption_b(model: Model) -> AssumptionVerdict:
     """Single-proposition measurements exist and compose order-independently."""
-    targets = set(model.admissible_targets(ALICE))
-    for box in BOXES:
-        if box not in targets:
-            return AssumptionVerdict(
-                False,
-                Witness(f"no single-target measurement of {box} exists"),
-            )
+    for side, box in product((ALICE, BOB), BOXES):
+        if box not in model.admissible_targets(side):
+            return AssumptionVerdict(False, Witness(f"no single-target measurement of {box} exists"))
     for side in (ALICE, BOB):
-        for pair in model.admissible_targets(side):
-            if len(pair) != 2:
-                continue
-            x, y = tuple(pair)
-            boxes = (x, y)
-            forward = _pair_distribution(model, side, (x, y), boxes)
-            backward = _pair_distribution(model, side, (y, x), boxes)
-            together = _pair_distribution(model, side, (pair,), boxes)
+        for pair in (t for t in model.admissible_targets(side) if len(t) == 2):
+            x, y = pair
+            plans = _realizations(model, side, pair)
+            # The first reading of a box counts as the measurement result.
+            together, forward, backward = (
+                _fresh_distribution(model, plan, lambda h: (_readings(h, side, x)[0], _readings(h, side, y)[0]))
+                for plan in plans
+            )
             if forward != backward or forward != together:
-                return AssumptionVerdict(
-                    False,
-                    Witness(
-                        f"measuring {x} and {y} on {side} depends on how they are combined",
-                        (PlanStep(side, x), PlanStep(side, y)),
-                        detail=f"{x} then {y}: {forward}; {y} then {x}: {backward}; {pair}: {together}",
-                    ),
-                )
+                claim = f"measuring {x} and {y} on {side} depends on how they are combined"
+                detail = f"{x} then {y}: {forward}; {y} then {x}: {backward}; {pair}: {together}"
+                return AssumptionVerdict(False, Witness(claim, plans[1], detail))
     return AssumptionVerdict(True, None)
 
 
@@ -307,14 +271,13 @@ def test_assumption_c(model: Model) -> AssumptionVerdict:
     return AssumptionVerdict(False, witness)
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     a: AssumptionVerdict
     b: AssumptionVerdict
     c: AssumptionVerdict
 
-    def verdicts(self) -> tuple[bool, bool, bool]:
-        return (self.a.holds, self.b.holds, self.c.holds)
+    def verdicts(self) -> tuple[bool, ...]:
+        return tuple(verdict.holds for verdict in self)
 
 
 def assumption_report(model: Model) -> AssumptionReport:
@@ -424,31 +387,21 @@ def realize_pr_box(model: Model, interpretation: Interpretation | None = None) -
                 raise ValueError(f"box {box} is not part of target {target}")
 
     table: dict[tuple[str, str], dict[tuple[int, int], Fraction]] = {}
-    for i_a, (target_a, box_a) in enumerate(interpretation[0]):
-        for i_b, (target_b, box_b) in enumerate(interpretation[1]):
-            combo = (PR_REALIZATION_SETTINGS[0][i_a], PR_REALIZATION_SETTINGS[1][i_b])
-            histories = enumerate_histories(model, (PlanStep(ALICE, target_a), PlanStep(BOB, target_b)))
-            if any(h.forbidden for h in histories):
-                raise InconsistentHistory(f"alice {target_a} then bob {target_b} cannot be forbidden")
-            table[combo] = group_histories(
-                histories,
-                lambda h: tuple(PLUS if dict(o)[b] else MINUS for (_, o), b in zip(h.steps, (box_a, box_b))),
-            )
+    for (s_a, (target_a, box_a)), (s_b, (target_b, box_b)) in product(
+        zip(PR_REALIZATION_SETTINGS[0], interpretation[0]), zip(PR_REALIZATION_SETTINGS[1], interpretation[1])
+    ):
+        table[(s_a, s_b)] = _fresh_distribution(
+            model,
+            (PlanStep(ALICE, target_a), PlanStep(BOB, target_b)),
+            lambda h: tuple(PLUS if dict(o)[b] else MINUS for (_, o), b in zip(h.steps, (box_a, box_b))),
+        )
     return BehaviorTable(PR_REALIZATION_SETTINGS, ((PLUS, MINUS), (PLUS, MINUS)), table)
 
 
 def sweep_pr_interpretations(model: Model) -> list[tuple[Interpretation, BehaviorTable]]:
     """All sixteen readings: each setting interpreted as either box of its query."""
-    alice_targets = ("AB", "BC")
-    bob_targets = ("AB", "CA")
     results = []
-    for a1 in alice_targets[0]:
-        for a2 in alice_targets[1]:
-            for b1 in bob_targets[0]:
-                for b2 in bob_targets[1]:
-                    interp: Interpretation = (
-                        ((alice_targets[0], a1), (alice_targets[1], a2)),
-                        ((bob_targets[0], b1), (bob_targets[1], b2)),
-                    )
-                    results.append((interp, realize_pr_box(model, interp)))
+    for a1, a2, b1, b2 in product("AB", "BC", "AB", "CA"):
+        interp: Interpretation = ((("AB", a1), ("BC", a2)), (("AB", b1), ("CA", b2)))
+        results.append((interp, realize_pr_box(model, interp)))
     return results

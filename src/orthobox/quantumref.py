@@ -20,6 +20,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 TOLERANCE = 1e-12
+# Labels of a spin-one frame's three directions, in vector order.
+DIRECTIONS = "xyz"
 
 
 class QuantumRefError(ValueError):
@@ -134,7 +136,6 @@ class SpinOneFrame:
     """Rank-1 projectors onto the spin-0 states of three orthogonal directions."""
 
     vectors: np.ndarray  # rows are the three unit vectors, shape (3, 3)
-    labels: tuple[str, str, str] = ("x", "y", "z")
 
     def __post_init__(self):
         vectors = np.asarray(self.vectors, dtype=complex)
@@ -176,15 +177,14 @@ def luders_sequence(frame: SpinOneFrame, order: Sequence[int] | str, state: np.n
     the distribution over which direction registered ("none" collects the
     residual branch, zero for exact projectors).
     """
-    if isinstance(order, str):
-        order = tuple("xyz".index(ch) for ch in order)
-    if sorted(order) != [0, 1, 2]:
+    indices = tuple(DIRECTIONS.find(ch) for ch in order) if isinstance(order, str) else tuple(order)
+    if sorted(indices) != [0, 1, 2]:
         raise QuantumRefError(f"order must permute the three directions, got {order!r}")
     state = np.asarray(state, dtype=complex)
     if abs(np.trace(state) - 1) > 1e-9:
         raise QuantumRefError("state must have unit trace")
 
-    result = {label: 0.0 for label in frame.labels}
+    result = {label: 0.0 for label in DIRECTIONS}
     identity = np.eye(3)
 
     def walk(rho: np.ndarray, weight: float, remaining: tuple[int, ...]):
@@ -197,14 +197,14 @@ def luders_sequence(frame: SpinOneFrame, order: Sequence[int] | str, state: np.n
         if hit > 0:
             # Once a spin-0 branch fires, later projections in the sequence
             # are orthogonal to the collapsed state and cannot fire again.
-            result[frame.labels[index]] += weight * hit
+            result[DIRECTIONS[index]] += weight * hit
         q = identity - p
         rho_miss = q @ rho @ q
         miss_weight = float(np.trace(rho_miss).real)
         if miss_weight > 0:
             walk(rho_miss / miss_weight, weight * miss_weight, rest)
 
-    walk(state, 1.0, tuple(order))
+    walk(state, 1.0, indices)
     result.setdefault("none", 0.0)
     return result
 

@@ -314,8 +314,12 @@ class TestRealizePrBox:
 
 class TestForbiddenProtocolsAreTypedErrors:
     def test_single_side_plan(self):
-        with pytest.raises(InconsistentHistory, match="single-side plan"):
+        with pytest.raises(InconsistentHistory, match=r"plan \[alice A; alice B\] cannot be forbidden"):
             assumption_b(ForbiddenAfter(1))
+
+    def test_fresh_query_in_a(self):
+        with pytest.raises(InconsistentHistory, match=r"plan \[alice A\] cannot be forbidden"):
+            assumption_a(ForbiddenAfter(0))
 
     def test_baseline_query(self):
         with pytest.raises(InconsistentHistory, match="baseline"):
@@ -328,6 +332,11 @@ class TestForbiddenProtocolsAreTypedErrors:
     def test_cli_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "make_model", lambda *args, **kwargs: ForbiddenAfter(1))
         assert cli.main(["pr-boxes", "--model", "seer"]) == 1
+        assert "cannot be forbidden" in capsys.readouterr().err
+
+    def test_cli_assumptions_exit_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "make_model", lambda *args, **kwargs: ForbiddenAfter(0))
+        assert cli.main(["assumptions", "seer"]) == 1
         assert "cannot be forbidden" in capsys.readouterr().err
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from orthobox.quantumref import (
     CorrelationReport,
+    DIRECTIONS,
     ProjectorPair,
     QuantumRefError,
     SpinOneFrame,
@@ -129,6 +130,19 @@ class TestLudersSequence:
         frame = SpinOneFrame.canonical()
         with pytest.raises(QuantumRefError):
             luders_sequence(frame, (0, 0, 1), np.eye(3) / 3)
+
+    def test_unknown_direction_rejected(self):
+        frame = SpinOneFrame.canonical()
+        with pytest.raises(QuantumRefError, match="'xyw'"):
+            luders_sequence(frame, "xyw", np.eye(3) / 3)
+
+    def test_string_orders_name_the_directions(self):
+        rng = np.random.default_rng(13)
+        frame = SpinOneFrame.random(rng)
+        state = random_density(3, rng)
+        dist = luders_sequence(frame, "zxy", state)
+        assert list(dist) == [*DIRECTIONS, "none"]
+        assert dist == luders_sequence(frame, (2, 0, 1), state)
 
     def test_unnormalized_state_rejected(self):
         frame = SpinOneFrame.canonical()
