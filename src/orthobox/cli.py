@@ -35,6 +35,7 @@ from .behavior import (
     no_signalling_check,
 )
 from .models import (
+    BranchMassError,
     InadmissibleQuery,
     InconsistentHistory,
     enumerate_histories,
@@ -429,6 +430,9 @@ def main(argv=None) -> int:
         return 1
     except CertificateError as exc:
         print(f"certificate check failed: {exc}", file=sys.stderr)
+        return 1
+    except BranchMassError as exc:
+        print(f"model fault: {exc}", file=sys.stderr)
         return 1
 
 

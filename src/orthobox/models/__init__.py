@@ -9,6 +9,7 @@ from .base import (
     ALICE,
     BOB,
     BOXES,
+    BranchMassError,
     History,
     InadmissibleQuery,
     InconsistentHistory,
@@ -54,6 +55,7 @@ __all__ = [
     "ALICE",
     "BOB",
     "BOXES",
+    "BranchMassError",
     "FLAVORS",
     "FireflyModel",
     "History",

@@ -4,7 +4,8 @@ A model is a pure branching transition system: ``step(state, query)`` returns
 every possible ``(outcome, next_state, probability)`` triple, so the same
 code drives seeded sampling and exhaustive enumeration.  A query targets a
 single box or a pair of boxes on one party's side; outcomes record one
-boolean per queried box (True for full/glowing).
+boolean per queried box (True for full/glowing).  Each model instance caches
+its transitions; a seeded run draws exactly one u64 per step, even a sure one.
 
 Sessions are single-threaded: queries mutate one session sequentially.
 Distinct sessions are independent.
@@ -12,11 +13,13 @@ Distinct sessions are independent.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from pathlib import Path
-from typing import Callable, Hashable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 from ..rng import SplitMix64
 
@@ -35,6 +38,10 @@ class InconsistentHistory(RuntimeError):
 
 class InadmissibleQuery(ValueError):
     """The model does not offer this measurement."""
+
+
+class BranchMassError(RuntimeError):
+    """A model gave a negative branch weight, or weights not summing to 1 (a model fault)."""
 
 
 # Every accepted spelling of a target, mapped to its canonical name.
@@ -64,8 +71,35 @@ class Query:
         return len(self.target) == 2
 
 
+class Transition(NamedTuple):
+    """The nonzero branches ``(outcome, key, next_state, p)`` of a prior or a
+    step, and the thresholds ``ceil(cum * 2**64)`` of their cumulative weights."""
+
+    branches: tuple[tuple[Outcome, str | None, object, Fraction], ...]
+    thresholds: tuple[int, ...]
+
+    def draw(self, rng: SplitMix64):
+        """The first branch with ``u < threshold``, i.e. ``u / 2**64 < cum``."""
+        return self.branches[bisect_right(self.thresholds, rng.next_u64())]
+
+
+def _transition(source: str, triples: Iterable[tuple], key: Callable) -> Transition:
+    """Build from ``(outcome, next_state, p)`` triples: nonnegative, summing to exactly 1."""
+    branches, thresholds, total = [], [], Fraction(0)
+    for outcome, state, p in triples:
+        if p < 0:
+            raise BranchMassError(f"{source}: negative branch weight {p}")
+        if p:
+            total += p
+            branches.append((outcome, key(outcome), state, p))
+            thresholds.append(-((-total.numerator << 64) // total.denominator))
+    if total != 1:
+        raise BranchMassError(f"{source}: branch weights sum to {total}, not 1")
+    return Transition(tuple(branches), tuple(thresholds))
+
+
 class Model:
-    """Interface each toy model implements."""
+    """Interface each toy model implements; sampling and enumeration read ``prior`` and ``transition``."""
 
     name: str = "model"
 
@@ -82,6 +116,33 @@ class Model:
         target's boxes in target order; raises InconsistentHistory when the
         query cannot be answered consistently.  Callers check admissibility."""
         raise NotImplementedError
+
+    @cached_property
+    def prior(self) -> Transition:
+        """``initial_states()`` as a Transition, computed once per model instance."""
+        return _transition(f"{self.name} prior", (((), *branch) for branch in self.initial_states()), lambda _: None)
+
+    @cached_property
+    def _transitions(self) -> dict:
+        return {}
+
+    def transition(self, state, query: Query) -> Transition:
+        """``step(state, query)``, called once per key; an unanswerable query's
+        message is raised again as a fresh InconsistentHistory on every hit."""
+        key = (state, query)
+        entry = self._transitions.get(key)
+        if entry is None:
+            try:
+                triples = self.step(state, query)
+            except InconsistentHistory as exc:
+                entry = str(exc)
+            else:
+                source = f"{self.name} {query.side} {query.target} from {state}"
+                entry = _transition(source, triples, lambda outcome: self.outcome_key(query, outcome))
+            self._transitions[key] = entry
+        if isinstance(entry, str):
+            raise InconsistentHistory(entry)
+        return entry
 
     def outcome_key(self, query: Query, outcome: Outcome) -> str:
         """Stable text form used in plan files and reports.
@@ -115,22 +176,17 @@ class Model:
         return branches
 
 
-def _draw(rng: SplitMix64, branches: list[tuple[Outcome, object, Fraction]]):
-    """One ``(outcome, next_state, probability)`` branch, drawn by its weight."""
-    return rng.choice_weighted([(branch, branch[2]) for branch in branches])
-
-
 class Session:
     """Stateful sequential-measurement run over one seeded stream."""
 
     def __init__(self, model: Model, rng: SplitMix64):
         self.model = model
         self.rng = rng
-        self.state = self.rng.choice_weighted(model.initial_states())
+        _, _, self.state, _ = model.prior.draw(rng)
 
     def measure(self, query: Query) -> Outcome:
         self.model.check_admissible(query)
-        outcome, self.state, _ = _draw(self.rng, self.model.step(self.state, query))
+        outcome, _, self.state, _ = self.model.transition(self.state, query).draw(self.rng)
         return outcome
 
 
@@ -249,10 +305,13 @@ class History:
 
 
 def _walk(model: Model, plan: Iterable[PlanStep], rng: SplitMix64 | None = None) -> list[History]:
-    """The one plan walker.  Without ``rng`` it follows every nonzero branch
-    of the prior and of each step; with ``rng`` it follows one drawn branch
-    of each, checking each query as it is reached, into one history of weight 1."""
+    """The one plan walker, over the model's transitions.  Without ``rng`` it
+    follows every nonzero branch of the prior and of each step; with ``rng`` it
+    follows one drawn branch of each, checking each query as it is reached."""
     results: list[History] = []
+
+    def follow(entry: Transition):
+        return entry.branches if rng is None else (entry.draw(rng),)
 
     def visit(state, queue: tuple[PlanStep, ...], prob: Fraction, trail: tuple) -> None:
         if not queue:
@@ -263,24 +322,16 @@ def _walk(model: Model, plan: Iterable[PlanStep], rng: SplitMix64 | None = None)
         if rng is not None:
             check_step(model, step)
         try:
-            branches = model.step(state, query)
+            entry = model.transition(state, query)
         except InconsistentHistory:
             results.append(History(trail + ((query, None),), prob, forbidden=True))
             return
-        if rng is not None:
-            branches = (_draw(rng, branches),)
-        for outcome, next_state, p in branches:
-            if p:
-                key = model.outcome_key(query, outcome)
-                next_prob = prob if rng is not None else prob * p
-                visit(next_state, step.substeps(key) + rest, next_prob, trail + ((query, outcome),))
+        for outcome, key, next_state, p in follow(entry):
+            next_prob = prob if rng is not None else prob * p  # a sampled history has weight 1
+            visit(next_state, step.substeps(key) + rest, next_prob, trail + ((query, outcome),))
 
-    initial = model.initial_states()
-    if rng is not None:
-        initial = ((rng.choice_weighted(initial), Fraction(1)),)
-    for state, prior in initial:
-        if prior:
-            visit(state, tuple(plan), prior, ())
+    for _, _, state, prior in follow(model.prior):
+        visit(state, tuple(plan), prior if rng is None else Fraction(1), ())
     return results
 
 

@@ -323,4 +323,5 @@ def test_criterion_10_oracle_equivalence():
             if not sampling_matches(model, parse_plan(text), 20_000, seed=100 + i):
                 ok = False
     elapsed = time.monotonic() - start
+    ok = ok and elapsed < 30.0
     verdict(10, ok, f"sampled frequencies within 4 sigma of exact enumeration ({elapsed:.1f}s)")
