@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from orthobox.models import (
+    FLAVORS,
     FireflyModel,
     InadmissibleQuery,
     PlanStep,
@@ -17,6 +18,8 @@ from orthobox.models.firefly import (
     nearest_corner,
     other_side,
 )
+
+from plan_digest import linear_plan_digest
 
 SIDES = ("AB", "BC", "CA")
 
@@ -209,3 +212,15 @@ class TestFlavors:
                 for key, p in glow_distribution(model, plan).items():
                     bob[(key[-1],)] = bob.get((key[-1],), Fraction(0)) + p
                 assert bob == baseline
+
+
+class TestDifferentialDigest:
+    """Pins every flavor's exact and seeded behaviour on every linear plan of
+    at most three side approaches to a digest recorded before plans were
+    compiled into sampling trees."""
+
+    DIGEST = "faa3a8b06af76a7d0924c322c88e96ea6031dd25f26d0d8f01425863ac262486"
+
+    def test_linear_plans_match_recorded_digest(self):
+        models = [FireflyModel(flavor) for flavor in FLAVORS]
+        assert linear_plan_digest(models) == (self.DIGEST, 774)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 from orthobox.models import LswModel, PlanStep, enumerate_histories, exact_distribution
 
+from plan_digest import linear_plan_digest
+
 
 def outcome_words(model, plan):
     dist = {}
@@ -98,3 +100,14 @@ class TestLocality:
             last[(key[-1],)] = last.get((key[-1],), Fraction(0)) + p
         assert first == baseline
         assert first == last
+
+
+class TestDifferentialDigest:
+    """Pins the model's exact and seeded behaviour on every linear plan of at
+    most three queries to a digest recorded before plans were compiled into
+    sampling trees."""
+
+    DIGEST = "e6438c9627644ef573daa3e20829f8c8f923375c616781189ac3b0b8d968b224"
+
+    def test_linear_plans_match_recorded_digest(self):
+        assert linear_plan_digest([LswModel()]) == (self.DIGEST, 1884)

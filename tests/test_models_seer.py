@@ -1,6 +1,4 @@
-import hashlib
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -12,13 +10,12 @@ from orthobox.models import (
     Session,
     enumerate_histories,
     exact_distribution,
-    history_signature,
     make_model,
-    sample_history,
 )
-from orthobox.models.base import TARGETS
 from orthobox.rng import SplitMix64
 from orthobox.theorem import conditional_probs
+
+from plan_digest import linear_plan_digest
 
 
 def signatures(model, plan):
@@ -206,21 +203,5 @@ class TestDifferentialDigest:
     DIGEST = "b10f289e46d296962c6c864ffeb9e1ce4a0f2b4349d37b2bface167b991927a5"
 
     def test_linear_plans_match_recorded_digest(self):
-        queries = [(side, target) for side in ("alice", "bob") for target in TARGETS]
-        digest = hashlib.sha256()
-        index = 0
-        for marginals in self.MARGINAL_SETS:
-            model = SeerModel(marginals)
-            for depth in (1, 2, 3):
-                for steps in product(queries, repeat=depth):
-                    plan = tuple(PlanStep(side, target) for side, target in steps)
-                    for sig, p in sorted(exact_distribution(model, plan).items()):
-                        digest.update(f"{sig!r}={p}\n".encode())
-                    rng = SplitMix64(index)
-                    for _ in range(3):
-                        sampled = sample_history(model, plan, rng)
-                        digest.update(f"{history_signature(sampled, model)!r}\n".encode())
-                    digest.update(b"--\n")
-                    index += 1
-        assert index == 5652
-        assert digest.hexdigest() == self.DIGEST
+        models = [SeerModel(marginals) for marginals in self.MARGINAL_SETS]
+        assert linear_plan_digest(models) == (self.DIGEST, 5652)
