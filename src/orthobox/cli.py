@@ -21,8 +21,6 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import quantumref
 from .behavior import (
     CertificateError,
@@ -38,12 +36,12 @@ from .models import (
     BranchMassError,
     InadmissibleQuery,
     InconsistentHistory,
+    compile_plan,
     enumerate_histories,
     group_histories,
     history_signature,
     load_plan,
     make_model,
-    sample_history,
 )
 from .protocols import (
     DEFAULT_PAIR_INTERPRETATION,
@@ -182,12 +180,11 @@ def cmd_simulate(args) -> int:
     model = make_model(args.model, flavor=args.flavor)
     plan_path = _resolve_input("plans", args.plan, ".plan")
     plan = load_plan(plan_path)
+    tree = compile_plan(model, plan)  # enumeration builds it whole; sampling only draws
     histories = enumerate_histories(model, plan)
     grouped = group_histories(histories, lambda h: history_signature(h, model))
     rng = SplitMix64(args.seed)
-    counts = Counter(
-        history_signature(sample_history(model, plan, rng), model) for _ in range(args.trials)
-    )
+    counts = Counter(tree.sample(rng).signature for _ in range(args.trials))
 
     print(f"model: {model.name}" + (f" ({args.flavor})" if args.model == "firefly" else ""))
     print(f"plan: {plan_path.stem} ({len(histories)} branches, {len(grouped)} distinct outcomes)")
@@ -308,7 +305,7 @@ def cmd_pr_boxes(args) -> int:
 
 
 def cmd_quantum_ref(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = quantumref.seeded_generator(args.seed)
     rows = []
 
     worst_povm = 0.0

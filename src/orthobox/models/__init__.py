@@ -19,7 +19,9 @@ from .base import (
     Plan,
     PlanStep,
     Query,
+    PlanTree,
     Session,
+    compile_plan,
     enumerate_histories,
     exact_distribution,
     group_histories,
@@ -68,9 +70,11 @@ __all__ = [
     "PAIRS",
     "Plan",
     "PlanStep",
+    "PlanTree",
     "Query",
     "SeerModel",
     "Session",
+    "compile_plan",
     "enumerate_histories",
     "exact_distribution",
     "group_histories",

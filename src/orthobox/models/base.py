@@ -5,7 +5,15 @@ every possible ``(outcome, next_state, probability)`` triple, so the same
 code drives seeded sampling and exhaustive enumeration.  A query targets a
 single box or a pair of boxes on one party's side; outcomes record one
 boolean per queried box (True for full/glowing).  Each model instance caches
-its transitions; a seeded run draws exactly one u64 per step, even a sure one.
+its transitions.
+
+A plan runs as a tree (``PlanTree``) rooted at the model's prior and built
+lazily: a node holds one cached transition's draw thresholds, and builds
+each child, checking the child's step, on the first visit; a leaf is a
+finished or forbidden ``History``.  Sampling walks one drawn branch per
+level, exactly one u64 and one binary search per step, even a sure one;
+enumeration builds every child with its weight.  Each model keeps the trees
+of the plans it samples, so a repeated plan costs its draws and little else.
 
 Sessions are single-threaded: queries mutate one session sequentially.
 Distinct sessions are independent.
@@ -124,6 +132,16 @@ class Model:
 
     @cached_property
     def _transitions(self) -> dict:
+        return {}
+
+    @cached_property
+    def _trees(self) -> dict:
+        """Plan -> its compiled PlanTree."""
+        return {}
+
+    @cached_property
+    def _sampled_leaves(self) -> dict:
+        """id(history) -> SampledLeaf, for each leaf sampling reached and its weight-1 copy."""
         return {}
 
     def transition(self, state, query: Query) -> Transition:
@@ -304,37 +322,6 @@ class History:
     forbidden: bool = False
 
 
-def _walk(model: Model, plan: Iterable[PlanStep], rng: SplitMix64 | None = None) -> list[History]:
-    """The one plan walker, over the model's transitions.  Without ``rng`` it
-    follows every nonzero branch of the prior and of each step; with ``rng`` it
-    follows one drawn branch of each, checking each query as it is reached."""
-    results: list[History] = []
-
-    def follow(entry: Transition):
-        return entry.branches if rng is None else (entry.draw(rng),)
-
-    def visit(state, queue: tuple[PlanStep, ...], prob: Fraction, trail: tuple) -> None:
-        if not queue:
-            results.append(History(trail, prob))
-            return
-        step, rest = queue[0], queue[1:]
-        query = step.query
-        if rng is not None:
-            check_step(model, step)
-        try:
-            entry = model.transition(state, query)
-        except InconsistentHistory:
-            results.append(History(trail + ((query, None),), prob, forbidden=True))
-            return
-        for outcome, key, next_state, p in follow(entry):
-            next_prob = prob if rng is not None else prob * p  # a sampled history has weight 1
-            visit(next_state, step.substeps(key) + rest, next_prob, trail + ((query, outcome),))
-
-    for _, _, state, prior in follow(model.prior):
-        visit(state, tuple(plan), prior if rng is None else Fraction(1), ())
-    return results
-
-
 def check_step(model: Model, step: PlanStep) -> None:
     """Reject a step whose query the model does not offer, or with a branch
     key that its query can never give."""
@@ -346,24 +333,145 @@ def check_step(model: Model, step: PlanStep) -> None:
             raise InadmissibleQuery(f"{query.side} {query.target} has no outcome {key!r} ({outcomes})")
 
 
+class SampledLeaf(NamedTuple):
+    """A leaf that sampling reached: its history (with its path weight), its
+    signature, and the weight-1 copy that ``sample_history`` returns."""
+
+    history: History
+    signature: tuple
+    sampled: History
+
+
+def _sampled_leaf(model: Model, leaf: History) -> SampledLeaf:
+    """A leaf's first sample: the model keeps its SampledLeaf under the ids of
+    both histories, and holding them keeps those ids from being reused."""
+    entry = SampledLeaf(leaf, history_signature(leaf, model), History(leaf.steps, Fraction(1), leaf.forbidden))
+    model._sampled_leaves[id(leaf)] = model._sampled_leaves[id(entry.sampled)] = entry
+    return entry
+
+
+class _Branch:
+    """The prior (``step`` None) or a reached step: one cached Transition, the
+    path weight ``num/den`` so far, and per branch a child built on first
+    visit from the pending plan queue; a finished or forbidden child is its History."""
+
+    __slots__ = ("tree", "thresholds", "branches", "children", "step", "rest", "trail", "num", "den")
+
+    def __init__(self, tree: PlanTree, transition: Transition, step: PlanStep | None, rest: tuple, trail: tuple,
+                 num: int, den: int):
+        self.tree = tree
+        self.thresholds = transition.thresholds
+        self.branches = transition.branches
+        self.children: list = [None] * len(self.branches)
+        self.step, self.rest, self.trail, self.num, self.den = step, rest, trail, num, den
+
+    def child(self, i: int):
+        """Branch ``i``'s node, built on the first visit; its step is checked
+        then, unless the whole plan was checked for an enumeration."""
+        node = self.children[i]
+        if node is not None:
+            return node
+        outcome, key, state, p = self.branches[i]
+        step, tree = self.step, self.tree
+        if step is None:
+            queue, trail = self.rest, self.trail
+        else:
+            queue, trail = step.substeps(key) + self.rest, self.trail + ((step.query, outcome),)
+        # Integer products, reduced once per leaf: cheaper than a Fraction product per node.
+        num, den = self.num * p.numerator, self.den * p.denominator
+        if not queue:
+            node = History(trail, Fraction(num, den))
+        else:
+            step = queue[0]
+            if not tree.checked:
+                check_step(tree.model, step)
+            try:
+                transition = tree.model.transition(state, step.query)
+            except InconsistentHistory:
+                node = History(trail + ((step.query, None),), Fraction(num, den), forbidden=True)
+            else:
+                node = _Branch(tree, transition, step, queue[1:], trail, num, den)
+        if tree.kept:
+            self.children[i] = node
+        return node
+
+
+class PlanTree:
+    """A plan compiled against one model: the prior at the root, built lazily
+    down to leaves, the finished or forbidden histories."""
+
+    def __init__(self, model: Model, plan: Plan, kept: bool = True):
+        self.model = model
+        self.plan = plan
+        # A tree built for one enumeration lets each subtree go once its leaves
+        # are collected; keeping the nodes would only feed the garbage collector.
+        self.kept = kept
+        self.checked = False  # every step of the plan checked up front
+        self.root = _Branch(self, model.prior, None, plan, (), 1, 1)
+        self._leaves: list[History] | None = None
+
+    def sample(self, rng: SplitMix64, prior: int | None = None) -> SampledLeaf:
+        """One seeded leaf, one u64 and one binary search per level; ``prior``
+        is the index of an already drawn prior branch."""
+        node = self.root if prior is None else self.root.child(prior)
+        while type(node) is _Branch:
+            i = bisect_right(node.thresholds, rng.next_u64())
+            node = node.children[i] or node.child(i)
+        entry = self.model._sampled_leaves.get(id(node))
+        return _sampled_leaf(self.model, node) if entry is None else entry
+
+    def leaves(self) -> list[History]:
+        """Every leaf, depth first in branch order; the first call checks every
+        step of the plan, unreachable ones included, and builds the whole tree."""
+        if self._leaves is None:
+            for step in plan_steps(self.plan):
+                check_step(self.model, step)
+            self.checked = True
+            leaves: list[History] = []
+
+            def collect(node) -> None:
+                if type(node) is History:
+                    leaves.append(node)
+                else:
+                    for i in range(len(node.children)):
+                        collect(node.child(i))
+
+            collect(self.root)
+            self._leaves = leaves
+        return self._leaves
+
+
+def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
+    """The model's tree for this plan, created on the first call and kept."""
+    plan = tuple(plan)
+    tree = model._trees.get(plan)
+    if tree is None:
+        tree = model._trees[plan] = PlanTree(model, plan)
+    return tree
+
+
 def enumerate_histories(model: Model, plan: Iterable[PlanStep]) -> list[History]:
     """Exhaustive branch enumeration over hidden variables and outcomes, after
-    checking every step, unreachable ones included."""
-    plan = tuple(plan)
-    for step in plan_steps(plan):
-        check_step(model, step)
-    return _walk(model, plan)
+    checking every step, unreachable ones included.  A plan the model has not
+    compiled gets a tree for this call only: the assumption battery enumerates
+    thousands of plans once each, where keeping every tree costs more than it saves."""
+    plan, trees = tuple(plan), model._trees
+    tree = (trees and trees.get(plan)) or PlanTree(model, plan, kept=False)
+    return list(tree.leaves())
 
 
 def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:
     """One seeded run of a plan: one draw for the hidden state, then one per
     visited step, each checked when reached; forbidden queries yield a
     flagged history."""
-    return _walk(model, plan, rng)[0]
+    return compile_plan(model, plan).sample(rng).sampled
 
 
 def history_signature(history: History, model: Model) -> tuple:
     """Hashable label for grouping sampled and enumerated histories."""
+    known = model._sampled_leaves.get(id(history))
+    if known is not None:
+        return known.signature
     return tuple(
         (query.side, query.target, "forbidden" if outcome is None else model.outcome_key(query, outcome))
         for query, outcome in history.steps

@@ -20,6 +20,7 @@ run on a fresh session is an ``InconsistentHistory`` naming the plan.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -36,7 +37,7 @@ from .models import (
     Model,
     PlanStep,
     Query,
-    Session,
+    compile_plan,
     enumerate_histories,
     group_histories,
     make_model,
@@ -219,12 +220,15 @@ def test_assumption_a(model: Model) -> AssumptionVerdict:
                     claim = f"trivial marginal: p({box}) = {p} in context {target} on {side}"
                     return AssumptionVerdict(False, Witness(claim, plan))
 
+    enumerated: dict = {}  # a plan holding two boxes is scanned once per box, enumerated once
     for box in BOXES:
         contexts = ([t for t in model.admissible_targets(side) if len(t) == 2 and box in t] for side in (ALICE, BOB))
         for ctx_a, ctx_b in product(*contexts):
             for real_a, real_b in product(_realizations(model, ALICE, ctx_a), _realizations(model, BOB, ctx_b)):
                 for plan in _interleavings(real_a, real_b):
-                    for history in enumerate_histories(model, plan):
+                    if plan not in enumerated:
+                        enumerated[plan] = enumerate_histories(model, plan)
+                    for history in enumerated[plan]:
                         if history.forbidden:
                             continue
                         a_vals = _readings(history, ALICE, box)
@@ -296,44 +300,58 @@ class FableStats(NamedTuple):
     rows: tuple[tuple[int, bool, bool, bool], ...]
 
 
+def _fable_plan(pair: str, full: str) -> tuple[PlanStep, ...]:
+    """Sandu opens the leftover box, then the box of Daniel's pair whose
+    forced content makes the prophecy ``full`` full come true; then Daniel
+    opens his pair."""
+    empty = pair.replace(full, "")
+    third = next(b for b in BOXES if b not in pair)
+    follow = (("full", (PlanStep(ALICE, empty),)), ("empty", (PlanStep(ALICE, full),)))
+    return (PlanStep(ALICE, third, follow), PlanStep(BOB, pair))
+
+
+def _fable_scores(history: History, full: str) -> tuple[bool, bool, bool]:
+    """(leftover box full, second prophecy right, Daniel right) on one history."""
+    if history.forbidden:
+        query = history.steps[-1][0]
+        raise InconsistentHistory(f"the fable's {query.side} {query.target} has no consistent answer")
+    (_, third), (_, second), (_, daniel) = history.steps
+    third_full = third[0][1]
+    daniel_reading = dict(daniel)
+    empty = next(box for box in daniel_reading if box != full)
+    return third_full, second[0][1] != third_full, daniel_reading[full] and not daniel_reading[empty]
+
+
 def simulate_fable(trials: int, seed: int = 0, keep_rows: bool = False) -> FableStats:
     """Daniel announces a pair and a prophecy; Sandu opens the leftover box
     first and then picks his second box so that its forced content makes
     Daniel's prophecy come true.
 
-    Daniel's success rate is exactly 1 for every seed; Sandu's first guess is
-    a fair coin and his second follows from the first.
+    Each trial draws the hidden state, then Daniel's pair, his full box and
+    Sandu's first guess, then walks that (pair, full box) plan's compiled
+    tree from the drawn state.  Daniel's success rate is exactly 1 for every
+    seed; Sandu's first guess is a fair coin and his second follows from the
+    first.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = SplitMix64(seed)
-    daniel_ok = 0
-    sandu_first_ok = 0
-    sandu_second_ok = 0
-    rows = []
     model = make_model("seer")
-    sandu = {box: Query(ALICE, box) for box in BOXES}
-    daniel = {pair: Query(BOB, pair) for pair in PAIRS}
+    trees = [(compile_plan(model, _fable_plan(pair, full)), full) for pair in PAIRS for full in pair]
+    thresholds = model.prior.thresholds
+    scores: dict = {}
+    daniel_ok = sandu_first_ok = sandu_second_ok = 0
+    rows = []
     for trial in range(trials):
-        session = Session(model, rng)
-        daniel_pair = PAIRS[rng.randrange(3)]
-        full_box = daniel_pair[rng.randrange(2)]
-        empty_box = daniel_pair.replace(full_box, "")
-        third = next(b for b in BOXES if b not in daniel_pair)
-
-        sandu_guess_full = rng.randrange(2) == 0
-        third_outcome = dict(session.measure(sandu[third]))[third]
-        first_ok = sandu_guess_full == third_outcome
-
-        # A full leftover box forces his next box empty, and vice versa.
-        second_box = empty_box if third_outcome else full_box
-        predicted = not third_outcome
-        second_outcome = dict(session.measure(sandu[second_box]))[second_box]
-        second_ok = second_outcome == predicted
-
-        daniel_outcome = dict(session.measure(daniel[daniel_pair]))
-        this_daniel_ok = daniel_outcome[full_box] and not daniel_outcome[empty_box]
-
+        prior = bisect_right(thresholds, rng.next_u64())
+        tree, full = trees[2 * rng.randrange(3) + rng.randrange(2)]
+        guess_full = rng.randrange(2) == 0
+        leaf = tree.sample(rng, prior).history  # kept by the tree, so its id is fixed
+        score = scores.get(id(leaf))
+        if score is None:
+            score = scores[id(leaf)] = _fable_scores(leaf, full)
+        third_full, second_ok, this_daniel_ok = score
+        first_ok = guess_full == third_full
         daniel_ok += this_daniel_ok
         sandu_first_ok += first_ok
         sandu_second_ok += second_ok

@@ -14,11 +14,27 @@ norm; it is a reference check, not part of the exact-rational core.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
 
+def _lazy_numpy():
+    """numpy, imported on first attribute access (the stdlib ``LazyLoader``
+    recipe), so importing this module does not pay for numpy; numpy itself
+    when it is already loaded."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 TOLERANCE = 1e-12
 # Labels of a spin-one frame's three directions, in vector order.
 DIRECTIONS = "xyz"
@@ -26,6 +42,11 @@ DIRECTIONS = "xyz"
 
 class QuantumRefError(ValueError):
     pass
+
+
+def seeded_generator(seed: int) -> np.random.Generator:
+    """numpy's default generator, which every random check here draws from."""
+    return np.random.default_rng(seed)
 
 
 def _max_entry(m: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -209,9 +210,22 @@ class TestHelpAndColor:
         assert "\x1b[" not in plain
 
 
-def test_cli_import_leaves_networkx_out():
+def modules_loaded(code: str, package: str) -> list[str]:
+    """``package`` and its submodules in ``sys.modules`` after a fresh interpreter runs ``code``."""
     src = str(Path(orthobox.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    probe = "import sys, orthobox.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"
+    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return ast.literal_eval(result.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_leaves_networkx_out():
+    assert modules_loaded("import orthobox.cli", "networkx") == []
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # quantumref binds a lazy numpy module; only its first use imports numpy.
+    assert modules_loaded("import orthobox.cli", "numpy") == ["numpy"]
+    assert modules_loaded("import orthobox.cli; orthobox.cli.main(['check', 'specker_triple'])", "numpy") == ["numpy"]
+    used = modules_loaded("import orthobox.cli; orthobox.cli.main(['quantum-ref', '--trials', '1'])", "numpy")
+    assert "numpy.linalg" in used

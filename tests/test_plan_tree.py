@@ -1,0 +1,149 @@
+"""Compiled plan trees against the recursive walker and the session-driven
+fable they replaced (``reference_walker.py``): the same enumerated
+histories and exact distributions, the same sampled signatures from the same
+draws, and the same errors at the same trial, on random depth-4 plans that
+include forbidden branches, inadmissible steps and unknown branch keys."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_walker as reference
+from orthobox.models import (
+    History,
+    InadmissibleQuery,
+    Query,
+    compile_plan,
+    enumerate_histories,
+    exact_distribution,
+    group_histories,
+    history_signature,
+    make_model,
+    parse_plan,
+    sample_history,
+)
+from orthobox.protocols import simulate_fable
+from orthobox.rng import SplitMix64
+
+from test_properties import MODELS, plans, seer_marginals
+
+TRIALS = 40
+
+
+def enumerated(enumerate_, signature, model, plan):
+    """(histories, exact distribution), or the error's type and message."""
+    try:
+        histories = enumerate_(model, plan)
+    except InadmissibleQuery as exc:
+        return type(exc), str(exc)
+    return histories, group_histories(histories, lambda h: signature(h, model))
+
+
+def sampled(sample, signature, model, plan, seed):
+    """Per trial (history, signature) or the error's type and message, then the next draw."""
+    rng = SplitMix64(seed)
+    runs = []
+    for _ in range(TRIALS):
+        try:
+            history = sample(model, plan, rng)
+        except InadmissibleQuery as exc:
+            runs.append((type(exc), str(exc)))
+        else:
+            runs.append((history, signature(history, model)))
+    return runs, rng.next_u64()
+
+
+def assert_matches_reference(build, plan, seed):
+    model, ref = build(), build()
+    expected = sampled(reference.sample_history, reference.signature, ref, plan, seed)
+    assert sampled(sample_history, history_signature, model, plan, seed) == expected
+    expected_enumeration = enumerated(reference.enumerate_histories, reference.signature, ref, plan)
+    assert enumerated(enumerate_histories, history_signature, model, plan) == expected_enumeration
+    if not isinstance(expected_enumeration[0], type):
+        assert exact_distribution(model, plan) == expected_enumeration[1]
+    # Again on the now fully built tree.
+    assert sampled(sample_history, history_signature, model, plan, seed) == expected
+    # From scratch, enumerating first.
+    model = build()
+    assert enumerated(enumerate_histories, history_signature, model, plan) == expected_enumeration
+    assert sampled(sample_history, history_signature, model, plan, seed) == expected
+
+
+@pytest.mark.parametrize("name, flavor", MODELS, ids=[f"{n}-{f}" for n, f in MODELS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_random_plans_match_reference(name, flavor, data, seed):
+    plan = data.draw(plans(make_model(name, flavor=flavor), 4, wild=True))
+    assert_matches_reference(lambda: make_model(name, flavor=flavor), plan, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), marginals=seer_marginals(), seed=st.integers(0, 2**64 - 1))
+def test_seer_random_marginals_match_reference(data, marginals, seed):
+    plan = data.draw(plans(make_model("seer", marginals=marginals), 4, wild=True))
+    assert_matches_reference(lambda: make_model("seer", marginals=marginals), plan, seed)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        # Half the runs reach an unanswerable last query.
+        ("seer", "bob A\nalice B\nbob C\nalice C"),
+        # Inadmissible only on the branch where C glows.
+        ("firefly", "alice CA\n  on C: alice B\nbob AB"),
+        # An unknown key under a step every run reaches.
+        ("lsw", "alice A\n  on ful: bob C\nbob B"),
+    ],
+)
+def test_pinned_plans_match_reference(name, text):
+    assert_matches_reference(lambda: make_model(name), parse_plan(text), 7)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 7, 12345])
+def test_fable_matches_reference(seed):
+    assert simulate_fable(3000, seed=seed, keep_rows=True) == reference.fable(3000, seed=seed, keep_rows=True)
+
+
+class TestTree:
+    def test_compiled_once_per_model_and_plan(self):
+        model = make_model("seer")
+        plan = parse_plan("alice C\n  on full: alice B\n  on empty: alice A\nbob AB")
+        tree = compile_plan(model, plan)
+        assert compile_plan(model, list(plan)) is tree
+        assert compile_plan(model, parse_plan("alice C\n  on full: alice B\n  on empty: alice A\nbob AB")) is tree
+        assert compile_plan(make_model("seer"), plan) is not tree
+
+    def test_built_tree_reads_no_transition(self, monkeypatch):
+        model = make_model("seer")
+        plan = parse_plan("bob A\nalice B\nbob C\nalice C")
+        compile_plan(model, plan)
+        enumerate_histories(model, plan)  # builds the compiled tree whole
+        monkeypatch.setattr(model, "transition", None)  # any call would fail
+        monkeypatch.setattr(model, "check_admissible", None)
+        rng = SplitMix64(1)
+        histories = [sample_history(model, plan, rng) for _ in range(200)]
+        assert {h.forbidden for h in histories} == {True, False}
+        assert enumerate_histories(model, plan) == reference.enumerate_histories(make_model("seer"), plan)
+
+    def test_sampled_history_has_weight_one(self):
+        model = make_model("lsw")
+        plan = parse_plan("alice A\nbob B")
+        history = sample_history(model, plan, SplitMix64(3))
+        assert history.probability == 1
+        assert sample_history(model, plan, SplitMix64(3)) is history
+
+    def test_signature_of_a_history_built_by_hand(self):
+        model = make_model("firefly")
+        query = Query("alice", "CA")
+        history = History(((query, (("C", True), ("A", False))), (Query("bob", "AB"), None)), Fraction(1))
+        assert history_signature(history, model) == (("alice", "CA", "C"), ("bob", "AB", "forbidden"))
+
+    def test_enumeration_checks_unreachable_steps(self):
+        # Sampling never reaches the branch; enumeration still rejects it.
+        model = make_model("seer")
+        plan = parse_plan("alice AB\n  on full,full:\n    bob C\n      on ful: bob A\nbob B")
+        rng = SplitMix64(0)
+        assert all(len(sample_history(model, plan, rng).steps) == 2 for _ in range(100))
+        with pytest.raises(InadmissibleQuery, match="bob C has no outcome 'ful'"):
+            enumerate_histories(model, plan)

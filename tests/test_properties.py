@@ -17,24 +17,29 @@ from orthobox.models import (
     make_model,
     sample_history,
 )
-from orthobox.models.base import SIDES
+from orthobox.models.base import SIDES, TARGETS
 from orthobox.rng import SplitMix64
 
 MODELS = [("seer", "mirror"), ("lsw", "mirror")] + [("firefly", flavor) for flavor in FLAVORS]
 
 
 @st.composite
-def plans(draw, model, depth):
+def plans(draw, model, depth, wild=False):
     """A plan with at most ``depth`` queries on any path; branch keys are
-    outcomes the step's query can give."""
+    outcomes the step's query can give.  In a ``wild`` plan about one step in
+    four may take any target, admitted or not, and about one in four may also
+    branch on ``ful``, which no query gives."""
     steps = []
     while depth > 0 and (not steps or draw(st.booleans())):
         side = draw(st.sampled_from(SIDES))
-        target = draw(st.sampled_from(model.admissible_targets(side)))
+        any_target = wild and draw(st.integers(0, 3)) == 0
+        target = draw(st.sampled_from(TARGETS if any_target else model.admissible_targets(side)))
         sub_depth = draw(st.integers(0, depth - 1))
         keys = model.outcome_keys(Query(side, target))
+        if wild and draw(st.integers(0, 3)) == 0:
+            keys += ("ful",)
         chosen = draw(st.lists(st.sampled_from(keys), unique=True)) if sub_depth else []
-        steps.append(PlanStep(side, target, tuple((key, draw(plans(model, sub_depth))) for key in chosen)))
+        steps.append(PlanStep(side, target, tuple((key, draw(plans(model, sub_depth, wild))) for key in chosen)))
         depth -= 1 + sub_depth
     return tuple(steps)
 

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from orthobox import cli
+from orthobox import cli, protocols
 from orthobox.behavior import chsh, is_pr_box, no_signalling_check
 from orthobox.models import InconsistentHistory, Model, enumerate_histories, make_model
 from orthobox.protocols import (
@@ -179,6 +179,21 @@ class TestAssumptionMatrix:
         steer = assumption_report(make_model("firefly", flavor="alice_cuts_bob_mirror"))
         assert steer.a.holds
         assert not steer.c.holds
+
+    @pytest.mark.parametrize("name", ["seer", "firefly", "lsw"])
+    def test_a_enumerates_each_plan_once(self, monkeypatch, name):
+        calls = []
+
+        def counted(model, plan):
+            calls.append(tuple(plan))
+            return enumerate_histories(model, plan)
+
+        monkeypatch.setattr(protocols, "enumerate_histories", counted)
+        verdict = assumption_a(make_model(name))
+        assert len(calls) == len(set(calls))
+        if name == "seer":
+            # 468 scans over 354 distinct plans: AB-against-AB plans and the like hold two boxes.
+            assert verdict.holds and len(calls) == 354
 
     def test_lsw_witness_is_enumerable(self):
         verdict = assumption_a(make_model("lsw"))
