@@ -18,8 +18,8 @@ from .base import (
     PAIRS,
     Plan,
     PlanStep,
-    Query,
     PlanTree,
+    Query,
     Session,
     compile_plan,
     enumerate_histories,

@@ -27,6 +27,8 @@ def _lazy_numpy():
     if "numpy" in sys.modules:
         return sys.modules["numpy"]
     spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules["numpy"] = module
@@ -35,6 +37,7 @@ def _lazy_numpy():
 
 
 np = _lazy_numpy()
+
 TOLERANCE = 1e-12
 # Labels of a spin-one frame's three directions, in vector order.
 DIRECTIONS = "xyz"

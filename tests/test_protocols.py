@@ -349,6 +349,13 @@ class TestForbiddenProtocolsAreTypedErrors:
         assert cli.main(["pr-boxes", "--model", "seer"]) == 1
         assert "cannot be forbidden" in capsys.readouterr().err
 
+    def test_cli_fable_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(protocols, "make_model", lambda *args, **kwargs: ForbiddenAfter(1))
+        assert cli.main(["fable", "--trials", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("inconsistent history: the fable's alice ")
+
     def test_cli_assumptions_exit_one(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "make_model", lambda *args, **kwargs: ForbiddenAfter(0))
         assert cli.main(["assumptions", "seer"]) == 1
