@@ -85,6 +85,7 @@ class Transition(NamedTuple):
 
     branches: tuple[tuple[Outcome, str | None, object, Fraction], ...]
     thresholds: tuple[int, ...]
+    weights: tuple[tuple[int, int], ...]  # each branch's p as (numerator, denominator)
 
     def draw(self, rng: SplitMix64):
         """The first branch with ``u < threshold``, i.e. ``u / 2**64 < cum``."""
@@ -93,7 +94,7 @@ class Transition(NamedTuple):
 
 def _transition(source: str, triples: Iterable[tuple], key: Callable) -> Transition:
     """Build from ``(outcome, next_state, p)`` triples: nonnegative, summing to exactly 1."""
-    branches, thresholds, total = [], [], Fraction(0)
+    branches, thresholds, weights, total = [], [], [], Fraction(0)
     for outcome, state, p in triples:
         if p < 0:
             raise BranchMassError(f"{source}: negative branch weight {p}")
@@ -101,9 +102,10 @@ def _transition(source: str, triples: Iterable[tuple], key: Callable) -> Transit
             total += p
             branches.append((outcome, key(outcome), state, p))
             thresholds.append(-((-total.numerator << 64) // total.denominator))
+            weights.append((p.numerator, p.denominator))
     if total != 1:
         raise BranchMassError(f"{source}: branch weights sum to {total}, not 1")
-    return Transition(tuple(branches), tuple(thresholds))
+    return Transition(tuple(branches), tuple(thresholds), tuple(weights))
 
 
 class Model:
@@ -355,13 +357,14 @@ class _Branch:
     path weight ``num/den`` so far, and per branch a child built on first
     visit from the pending plan queue; a finished or forbidden child is its History."""
 
-    __slots__ = ("tree", "thresholds", "branches", "children", "step", "rest", "trail", "num", "den")
+    __slots__ = ("tree", "thresholds", "branches", "weights", "children", "step", "rest", "trail", "num", "den")
 
     def __init__(self, tree: PlanTree, transition: Transition, step: PlanStep | None, rest: tuple, trail: tuple,
                  num: int, den: int):
         self.tree = tree
         self.thresholds = transition.thresholds
         self.branches = transition.branches
+        self.weights = transition.weights
         self.children: list = [None] * len(self.branches)
         self.step, self.rest, self.trail, self.num, self.den = step, rest, trail, num, den
 
@@ -371,14 +374,15 @@ class _Branch:
         node = self.children[i]
         if node is not None:
             return node
-        outcome, key, state, p = self.branches[i]
+        outcome, key, state, _ = self.branches[i]
+        pn, pd = self.weights[i]
         step, tree = self.step, self.tree
         if step is None:
             queue, trail = self.rest, self.trail
         else:
             queue, trail = step.substeps(key) + self.rest, self.trail + ((step.query, outcome),)
         # Integer products, reduced once per leaf: cheaper than a Fraction product per node.
-        num, den = self.num * p.numerator, self.den * p.denominator
+        num, den = self.num * pn, self.den * pd
         if not queue:
             node = History(trail, Fraction(num, den))
         else:
