@@ -180,7 +180,7 @@ def cmd_simulate(args) -> int:
     model = make_model(args.model, flavor=args.flavor)
     plan_path = _resolve_input("plans", args.plan, ".plan")
     plan = load_plan(plan_path)
-    tree = compile_plan(model, plan)  # enumeration builds it whole; sampling only draws
+    tree = compile_plan(model, plan)  # sampling builds only the branches it draws
     histories = enumerate_histories(model, plan)
     grouped = group_histories(histories, lambda h: history_signature(h, model))
     rng = SplitMix64(args.seed)
@@ -419,7 +419,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, TheoremError, InadmissibleQuery, FileNotFoundError, ValueError) as exc:
+    except (ScenarioError, TheoremError, InadmissibleQuery, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InconsistentHistory as exc:

@@ -7,13 +7,14 @@ single box or a pair of boxes on one party's side; outcomes record one
 boolean per queried box (True for full/glowing).  Each model instance caches
 its transitions.
 
-A plan runs as a tree (``PlanTree``) rooted at the model's prior and built
-lazily: a node holds one cached transition's draw thresholds, and builds
-each child, checking the child's step, on the first visit; a leaf is a
-finished or forbidden ``History``.  Sampling walks one drawn branch per
-level, exactly one u64 and one binary search per step, even a sure one;
-enumeration builds every child with its weight.  Each model keeps the trees
-of the plans it samples, so a repeated plan costs its draws and little else.
+A plan runs as a tree of ``PlanTree`` nodes rooted at the model's prior and
+built lazily: a node holds one cached transition's draw thresholds, and
+builds each child, checking the child's step, on the first visit; a leaf is
+a finished or forbidden ``History``.  Sampling walks one drawn branch per
+level, exactly one u64 and one binary search per step, even a sure one.
+Each model keeps the tree of each plan it samples, so a repeated plan costs
+its draws and little else.  Enumeration checks the whole plan first, then
+builds every child of a fresh tree of its own, freed when it returns.
 
 Sessions are single-threaded: queries mutate one session sequentially.
 Distinct sessions are independent.
@@ -352,31 +353,30 @@ def _sampled_leaf(model: Model, leaf: History) -> SampledLeaf:
     return entry
 
 
-class _Branch:
-    """The prior (``step`` None) or a reached step: one cached Transition, the
+class PlanTree:
+    """A plan compiled against one model, as its root or any node below: the
+    prior (``step`` None) or a reached step, with one cached Transition, the
     path weight ``num/den`` so far, and per branch a child built on first
     visit from the pending plan queue; a finished or forbidden child is its History."""
 
-    __slots__ = ("tree", "thresholds", "branches", "weights", "children", "step", "rest", "trail", "num", "den")
+    __slots__ = ("model", "thresholds", "branches", "weights", "children", "step", "rest", "trail", "num", "den")
 
-    def __init__(self, tree: PlanTree, transition: Transition, step: PlanStep | None, rest: tuple, trail: tuple,
-                 num: int, den: int):
-        self.tree = tree
-        self.thresholds = transition.thresholds
-        self.branches = transition.branches
-        self.weights = transition.weights
+    def __init__(self, model: Model, rest: tuple, transition: Transition | None = None, step: PlanStep | None = None,
+                 trail: tuple = (), num: int = 1, den: int = 1):
+        self.model = model
+        self.branches, self.thresholds, self.weights = model.prior if transition is None else transition
         self.children: list = [None] * len(self.branches)
         self.step, self.rest, self.trail, self.num, self.den = step, rest, trail, num, den
 
-    def child(self, i: int):
+    def child(self, i: int, check: bool = True):
         """Branch ``i``'s node, built on the first visit; its step is checked
-        then, unless the whole plan was checked for an enumeration."""
+        then, unless ``check`` is False because the whole plan was checked."""
         node = self.children[i]
         if node is not None:
             return node
         outcome, key, state, _ = self.branches[i]
         pn, pd = self.weights[i]
-        step, tree = self.step, self.tree
+        step, model = self.step, self.model
         if step is None:
             queue, trail = self.rest, self.trail
         else:
@@ -387,62 +387,26 @@ class _Branch:
             node = History(trail, Fraction(num, den))
         else:
             step = queue[0]
-            if not tree.checked:
-                check_step(tree.model, step)
+            if check:
+                check_step(model, step)
             try:
-                transition = tree.model.transition(state, step.query)
+                transition = model.transition(state, step.query)
             except InconsistentHistory:
                 node = History(trail + ((step.query, None),), Fraction(num, den), forbidden=True)
             else:
-                node = _Branch(tree, transition, step, queue[1:], trail, num, den)
-        if tree.kept:
-            self.children[i] = node
+                node = PlanTree(model, queue[1:], transition, step, trail, num, den)
+        self.children[i] = node
         return node
-
-
-class PlanTree:
-    """A plan compiled against one model: the prior at the root, built lazily
-    down to leaves, the finished or forbidden histories."""
-
-    def __init__(self, model: Model, plan: Plan, kept: bool = True):
-        self.model = model
-        self.plan = plan
-        # A tree built for one enumeration lets each subtree go once its leaves
-        # are collected; keeping the nodes would only feed the garbage collector.
-        self.kept = kept
-        self.checked = False  # every step of the plan checked up front
-        self.root = _Branch(self, model.prior, None, plan, (), 1, 1)
-        self._leaves: list[History] | None = None
 
     def sample(self, rng: SplitMix64, prior: int | None = None) -> SampledLeaf:
         """One seeded leaf, one u64 and one binary search per level; ``prior``
         is the index of an already drawn prior branch."""
-        node = self.root if prior is None else self.root.child(prior)
-        while type(node) is _Branch:
+        node = self if prior is None else self.child(prior)
+        while type(node) is PlanTree:
             i = bisect_right(node.thresholds, rng.next_u64())
             node = node.children[i] or node.child(i)
         entry = self.model._sampled_leaves.get(id(node))
         return _sampled_leaf(self.model, node) if entry is None else entry
-
-    def leaves(self) -> list[History]:
-        """Every leaf, depth first in branch order; the first call checks every
-        step of the plan, unreachable ones included, and builds the whole tree."""
-        if self._leaves is None:
-            for step in plan_steps(self.plan):
-                check_step(self.model, step)
-            self.checked = True
-            leaves: list[History] = []
-
-            def collect(node) -> None:
-                if type(node) is History:
-                    leaves.append(node)
-                else:
-                    for i in range(len(node.children)):
-                        collect(node.child(i))
-
-            collect(self.root)
-            self._leaves = leaves
-        return self._leaves
 
 
 def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
@@ -454,14 +418,27 @@ def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
     return tree
 
 
+def _collect(node: PlanTree, leaves: list[History]) -> None:
+    """Append the leaves below ``node``, depth first, building nodes unchecked."""
+    for i in range(len(node.children)):
+        child = node.child(i, check=False)
+        if type(child) is History:
+            leaves.append(child)
+        else:
+            _collect(child, leaves)
+
+
 def enumerate_histories(model: Model, plan: Iterable[PlanStep]) -> list[History]:
     """Exhaustive branch enumeration over hidden variables and outcomes, after
-    checking every step, unreachable ones included.  A plan the model has not
-    compiled gets a tree for this call only: the assumption battery enumerates
-    thousands of plans once each, where keeping every tree costs more than it saves."""
-    plan, trees = tuple(plan), model._trees
-    tree = (trees and trees.get(plan)) or PlanTree(model, plan, kept=False)
-    return list(tree.leaves())
+    checking every step, unreachable ones included.  It walks a fresh tree,
+    freed on return: the assumption battery enumerates thousands of plans once
+    each, where keeping every tree costs more than it saves."""
+    plan = tuple(plan)
+    for step in plan_steps(plan):
+        check_step(model, step)
+    leaves: list[History] = []
+    _collect(PlanTree(model, plan), leaves)
+    return leaves
 
 
 def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:

@@ -203,8 +203,10 @@ def load_scenario_file(path: str | Path) -> tuple[OrthoScenario, MarginalVector 
         raise ScenarioError(f"{path.name}: missing key {exc.args[0]!r}") from exc
     if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
         raise ScenarioError(f"{path.name}: 'propositions' must be a list of strings")
-    if not isinstance(joint_sets, list) or not all(isinstance(s, list) for s in joint_sets):
-        raise ScenarioError(f"{path.name}: 'joint_sets' must be a list of lists")
+    if not isinstance(joint_sets, list) or not all(
+        isinstance(s, list) and all(isinstance(p, str) for p in s) for s in joint_sets
+    ):
+        raise ScenarioError(f"{path.name}: 'joint_sets' must be a list of lists of strings")
     scenario = OrthoScenario.from_sets(props, joint_sets)
 
     marginals = None

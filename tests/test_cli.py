@@ -58,6 +58,14 @@ class TestCheck:
         assert code == 0
         assert "weight" in out
 
+    @pytest.mark.parametrize("member", [["A"], {"x": 1}], ids=["list", "object"])
+    def test_non_string_joint_set_member_is_input_error(self, capsys, tmp_path, member):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"propositions": ["A", "B"], "joint_sets": [[member, "B"]]}))
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "'joint_sets' must be a list of lists of strings" in err
+
 
 class TestVerifyTheorem:
     def test_small_grid_passes_and_reports_examples(self, capsys):
@@ -189,6 +197,21 @@ class TestQuantumRef:
         assert "all reference checks within" in out
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "check,dimension,deviation"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-theorem", "--grid", "4", "--csv"),
+        ("fable", "--trials", "10", "--per-trial"),
+        ("quantum-ref", "--trials", "2", "--csv"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_path_is_input_error(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, str(tmp_path))  # a directory, not a file
+    assert code == 2
+    assert err.startswith("error: ")
 
 
 class TestHelpAndColor:

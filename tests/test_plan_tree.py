@@ -4,6 +4,7 @@ histories and exact distributions, the same sampled signatures from the same
 draws, and the same errors at the same trial, on random depth-4 plans that
 include forbidden branches, inadmissible steps and unknown branch keys."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ import reference_walker as reference
 from orthobox.models import (
     History,
     InadmissibleQuery,
+    PlanTree,
     Query,
     compile_plan,
     enumerate_histories,
@@ -62,7 +64,7 @@ def assert_matches_reference(build, plan, seed):
     assert enumerated(enumerate_histories, history_signature, model, plan) == expected_enumeration
     if not isinstance(expected_enumeration[0], type):
         assert exact_distribution(model, plan) == expected_enumeration[1]
-    # Again on the now fully built tree.
+    # Again, on the nodes the first pass built.
     assert sampled(sample_history, history_signature, model, plan, seed) == expected
     # From scratch, enumerating first.
     model = build()
@@ -117,14 +119,26 @@ class TestTree:
     def test_built_tree_reads_no_transition(self, monkeypatch):
         model = make_model("seer")
         plan = parse_plan("bob A\nalice B\nbob C\nalice C")
-        compile_plan(model, plan)
-        enumerate_histories(model, plan)  # builds the compiled tree whole
+        rng = SplitMix64(1)
+        histories = [sample_history(model, plan, rng) for _ in range(200)]  # builds the nodes it draws
+        assert {h.forbidden for h in histories} == {True, False}
         monkeypatch.setattr(model, "transition", None)  # any call would fail
         monkeypatch.setattr(model, "check_admissible", None)
         rng = SplitMix64(1)
-        histories = [sample_history(model, plan, rng) for _ in range(200)]
-        assert {h.forbidden for h in histories} == {True, False}
-        assert enumerate_histories(model, plan) == reference.enumerate_histories(make_model("seer"), plan)
+        assert [sample_history(model, plan, rng) for _ in range(200)] == histories
+
+    def test_enumeration_leaves_nothing_behind(self):
+        model = make_model("seer")
+        plan = parse_plan("alice C\n  on full: alice B\n  on empty: alice A\nbob AB")
+        gc.collect()
+        gc.disable()  # anything the call leaves alive stays visible
+        try:
+            histories = enumerate_histories(model, plan)
+            nodes = [obj for obj in gc.get_objects() if type(obj) is PlanTree and obj.model is model]
+        finally:
+            gc.enable()
+        assert histories and not nodes
+        assert not model._trees
 
     def test_sampled_history_has_weight_one(self):
         model = make_model("lsw")
