@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,6 +94,12 @@ def _resolve_input(kind: str, name: str, suffix: str) -> Path:
     raise FileNotFoundError(f"no such file and no bundled {kind[:-1]} named {name!r}")
 
 
+def _output_file(path: str | None):
+    """``path`` opened for writing before any work, so an unwritable one
+    fails with nothing on stdout; without a path, a context giving None."""
+    return open(path, "w") if path else nullcontext()
+
+
 def cmd_check(args) -> int:
     path = _resolve_input("scenarios", args.scenario, ".json")
     scenario, marginals = load_scenario_file(path)
@@ -148,32 +155,30 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    rows = sweep_gap(args.grid)
-    if not rows:
-        print("grid contains no valid points")
-        return 1
-    worst = min(rows, key=lambda r: (r.gap, r.p1, r.p2, r.p3))
-    print(f"grid: denominator {args.grid}, {len(rows)} valid points")
-    print(
-        "min gap: "
-        + format_rational(worst.gap)
-        + f" at (p1,p2,p3)=({format_rational(worst.p1)},{format_rational(worst.p2)},{format_rational(worst.p3)})"
-    )
-    for probe in (Fraction(1, 3), Fraction(1, 2)):
-        t = TripleMarginals(probe, probe, probe)
-        wc = worst_case_params(t)
+    with _output_file(args.csv) as csv_file:
+        rows = sweep_gap(args.grid)
+        worst = min(rows, key=lambda r: (r.gap, r.p1, r.p2, r.p3))
+        print(f"grid: denominator {args.grid}, {len(rows)} valid points")
         print(
-            f"p={format_rational(probe)} each: gap {format_rational(signalling_gap(t))}"
-            f" (alpha {format_rational(wc.alpha)}, beta {format_rational(wc.beta)})"
+            "min gap: "
+            + format_rational(worst.gap)
+            + f" at (p1,p2,p3)=({format_rational(worst.p1)},{format_rational(worst.p2)},{format_rational(worst.p3)})"
         )
-    if args.csv:
-        Path(args.csv).write_text(sweep_csv(rows, exact=args.exact))
-        print(f"wrote {len(rows)} rows to {args.csv}")
-    if all(row.gap > 0 for row in rows):
-        print(_good("signalling gap positive on the whole grid"))
-        return 0
-    print(_bad("found a grid point with nonpositive gap"))
-    return 1
+        for probe in (Fraction(1, 3), Fraction(1, 2)):
+            t = TripleMarginals(probe, probe, probe)
+            wc = worst_case_params(t)
+            print(
+                f"p={format_rational(probe)} each: gap {format_rational(signalling_gap(t))}"
+                f" (alpha {format_rational(wc.alpha)}, beta {format_rational(wc.beta)})"
+            )
+        if args.csv:
+            csv_file.write(sweep_csv(rows, exact=args.exact))
+            print(f"wrote {len(rows)} rows to {args.csv}")
+        if all(row.gap > 0 for row in rows):
+            print(_good("signalling gap positive on the whole grid"))
+            return 0
+        print(_bad("found a grid point with nonpositive gap"))
+        return 1
 
 
 def cmd_simulate(args) -> int:
@@ -206,20 +211,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fable(args) -> int:
-    stats = simulate_fable(args.trials, seed=args.seed, keep_rows=bool(args.per_trial))
-    print(f"trials: {stats.trials}")
-    print(f"daniel success rate: {format_decimal(stats.daniel_success)}")
-    print(f"sandu first-prophecy rate: {format_decimal(stats.sandu_first_success)}")
-    print(f"sandu second-prophecy rate: {format_decimal(stats.sandu_second_success)}")
-    if args.per_trial:
-        lines = ["trial,daniel_success,sandu_first,sandu_second"]
-        lines += [f"{t},{int(d)},{int(f1)},{int(f2)}" for t, d, f1, f2 in stats.rows]
-        Path(args.per_trial).write_text("\n".join(lines) + "\n")
-        print(f"wrote per-trial rows to {args.per_trial}")
-    if stats.daniel_success != 1:
-        print(_bad("daniel failed a trial; the boxes are broken"))
-        return 1
-    return 0
+    with _output_file(args.per_trial) as rows_file:
+        stats = simulate_fable(args.trials, seed=args.seed, keep_rows=bool(args.per_trial))
+        print(f"trials: {stats.trials}")
+        print(f"daniel success rate: {format_decimal(stats.daniel_success)}")
+        print(f"sandu first-prophecy rate: {format_decimal(stats.sandu_first_success)}")
+        print(f"sandu second-prophecy rate: {format_decimal(stats.sandu_second_success)}")
+        if args.per_trial:
+            lines = ["trial,daniel_success,sandu_first,sandu_second"]
+            lines += [f"{t},{int(d)},{int(f1)},{int(f2)}" for t, d, f1, f2 in stats.rows]
+            rows_file.write("\n".join(lines) + "\n")
+            print(f"wrote per-trial rows to {args.per_trial}")
+        if stats.daniel_success != 1:
+            print(_bad("daniel failed a trial; the boxes are broken"))
+            return 1
+        return 0
 
 
 def _battery_models(name: str, flavor: str):
@@ -305,55 +311,56 @@ def cmd_pr_boxes(args) -> int:
 
 
 def cmd_quantum_ref(args) -> int:
-    rng = quantumref.seeded_generator(args.seed)
-    rows = []
+    with _output_file(args.csv) as csv_file:
+        rng = quantumref.seeded_generator(args.seed)
+        rows = []
 
-    worst_povm = 0.0
-    for _ in range(args.trials):
-        dim = int(rng.integers(2, 5))
-        triple = [quantumref.random_projector_pair(dim, rng) for _ in range(3)]
-        dev = quantumref.povm_identity_check(*triple)
-        worst_povm = max(worst_povm, dev)
-        rows.append(("povm_identity", dim, dev))
-    print(f"povm identity over {args.trials} random triples: max deviation {worst_povm:.3e}")
+        worst_povm = 0.0
+        for _ in range(args.trials):
+            dim = int(rng.integers(2, 5))
+            triple = [quantumref.random_projector_pair(dim, rng) for _ in range(3)]
+            dev = quantumref.povm_identity_check(*triple)
+            worst_povm = max(worst_povm, dev)
+            rows.append(("povm_identity", dim, dev))
+        print(f"povm identity over {args.trials} random triples: max deviation {worst_povm:.3e}")
 
-    frame = quantumref.SpinOneFrame.canonical()
-    worst_order = 0.0
-    for _ in range(50):
-        state = quantumref.random_density(3, rng)
-        dists = [
-            quantumref.luders_sequence(frame, order, state)
-            for order in ("xyz", "xzy", "yxz", "yzx", "zxy", "zyx")
-        ]
-        for other in dists[1:]:
-            for key in dists[0]:
-                worst_order = max(worst_order, abs(dists[0][key] - other[key]))
-    rows.append(("luders_order", 3, worst_order))
-    print(f"sequential-measurement order invariance over 50 states: max deviation {worst_order:.3e}")
+        frame = quantumref.SpinOneFrame.canonical()
+        worst_order = 0.0
+        for _ in range(50):
+            state = quantumref.random_density(3, rng)
+            dists = [
+                quantumref.luders_sequence(frame, order, state)
+                for order in ("xyz", "xzy", "yxz", "yzx", "zxy", "zyx")
+            ]
+            for other in dists[1:]:
+                for key in dists[0]:
+                    worst_order = max(worst_order, abs(dists[0][key] - other[key]))
+        rows.append(("luders_order", 3, worst_order))
+        print(f"sequential-measurement order invariance over 50 states: max deviation {worst_order:.3e}")
 
-    worst_corr = 0.0
-    for pairing in ("matched", "conjugate"):
-        report = quantumref.entangled_spin1_correlations(frame, pairing)
-        marg_dev = max(abs(m - 1 / 3) for m in report.marginals)
-        corr_dev = max(abs(abs(c) - 1) for c in report.correlations)
-        worst_corr = max(worst_corr, marg_dev, corr_dev)
-        rows.append((f"entangled_{pairing}", 3, max(marg_dev, corr_dev)))
-        print(
-            f"entangled correlations ({pairing}): marginals deviate {marg_dev:.3e},"
-            f" correlation {'perfect' if report.perfectly_correlated else 'imperfect'}"
-        )
+        worst_corr = 0.0
+        for pairing in ("matched", "conjugate"):
+            report = quantumref.entangled_spin1_correlations(frame, pairing)
+            marg_dev = max(abs(m - 1 / 3) for m in report.marginals)
+            corr_dev = max(abs(abs(c) - 1) for c in report.correlations)
+            worst_corr = max(worst_corr, marg_dev, corr_dev)
+            rows.append((f"entangled_{pairing}", 3, max(marg_dev, corr_dev)))
+            print(
+                f"entangled correlations ({pairing}): marginals deviate {marg_dev:.3e},"
+                f" correlation {'perfect' if report.perfectly_correlated else 'imperfect'}"
+            )
 
-    if args.csv:
-        lines = ["check,dimension,deviation"]
-        lines += [f"{name},{dim},{dev:.3e}" for name, dim, dev in rows]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        if args.csv:
+            lines = ["check,dimension,deviation"]
+            lines += [f"{name},{dim},{dev:.3e}" for name, dim, dev in rows]
+            csv_file.write("\n".join(lines) + "\n")
 
-    worst = max(worst_povm, worst_order, worst_corr)
-    if worst <= quantumref.TOLERANCE:
-        print(_good(f"all reference checks within {quantumref.TOLERANCE:g}"))
-        return 0
-    print(_bad(f"worst deviation {worst:.3e} exceeds {quantumref.TOLERANCE:g}"))
-    return 1
+        worst = max(worst_povm, worst_order, worst_corr)
+        if worst <= quantumref.TOLERANCE:
+            print(_good(f"all reference checks within {quantumref.TOLERANCE:g}"))
+            return 0
+        print(_bad(f"worst deviation {worst:.3e} exceeds {quantumref.TOLERANCE:g}"))
+        return 1
 
 
 def nonnegative_int(text: str) -> int:

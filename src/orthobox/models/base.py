@@ -10,11 +10,13 @@ its transitions.
 A plan runs as a tree of ``PlanTree`` nodes rooted at the model's prior and
 built lazily: a node holds one cached transition's draw thresholds, and
 builds each child, checking the child's step, on the first visit; a leaf is
-a finished or forbidden ``History``.  Sampling walks one drawn branch per
-level, exactly one u64 and one binary search per step, even a sure one.
-Each model keeps the tree of each plan it samples, so a repeated plan costs
-its draws and little else.  Enumeration checks the whole plan first, then
-builds every child of a fresh tree of its own, freed when it returns.
+a ``Leaf`` holding a finished or forbidden ``History``, whose signature is
+filled on its first sample.  Sampling walks one drawn branch per level,
+exactly one u64 and one binary search per step, even a sure one.  Each
+model keeps the tree of each plan it samples, so a repeated plan costs its
+draws and little else.  Enumeration checks the whole plan first, then builds
+every child of a fresh tree of its own, freed when it returns, and builds no
+signature.
 
 Sessions are single-threaded: queries mutate one session sequentially.
 Distinct sessions are independent.
@@ -140,11 +142,6 @@ class Model:
     @cached_property
     def _trees(self) -> dict:
         """Plan -> its compiled PlanTree."""
-        return {}
-
-    @cached_property
-    def _sampled_leaves(self) -> dict:
-        """id(history) -> SampledLeaf, for each leaf sampling reached and its weight-1 copy."""
         return {}
 
     def transition(self, state, query: Query) -> Transition:
@@ -336,28 +333,22 @@ def check_step(model: Model, step: PlanStep) -> None:
             raise InadmissibleQuery(f"{query.side} {query.target} has no outcome {key!r} ({outcomes})")
 
 
-class SampledLeaf(NamedTuple):
-    """A leaf that sampling reached: its history (with its path weight), its
-    signature, and the weight-1 copy that ``sample_history`` returns."""
+class Leaf:
+    """A finished or forbidden branch of a compiled plan: its ``History``,
+    with its path weight, and its signature, filled on its first sample."""
 
-    history: History
-    signature: tuple
-    sampled: History
+    __slots__ = ("history", "signature")
 
-
-def _sampled_leaf(model: Model, leaf: History) -> SampledLeaf:
-    """A leaf's first sample: the model keeps its SampledLeaf under the ids of
-    both histories, and holding them keeps those ids from being reused."""
-    entry = SampledLeaf(leaf, history_signature(leaf, model), History(leaf.steps, Fraction(1), leaf.forbidden))
-    model._sampled_leaves[id(leaf)] = model._sampled_leaves[id(entry.sampled)] = entry
-    return entry
+    def __init__(self, history: History):
+        self.history = history
+        self.signature: tuple | None = None
 
 
 class PlanTree:
     """A plan compiled against one model, as its root or any node below: the
     prior (``step`` None) or a reached step, with one cached Transition, the
     path weight ``num/den`` so far, and per branch a child built on first
-    visit from the pending plan queue; a finished or forbidden child is its History."""
+    visit from the pending plan queue; a finished or forbidden child is a Leaf."""
 
     __slots__ = ("model", "thresholds", "branches", "weights", "children", "step", "rest", "trail", "num", "den")
 
@@ -384,7 +375,7 @@ class PlanTree:
         # Integer products, reduced once per leaf: cheaper than a Fraction product per node.
         num, den = self.num * pn, self.den * pd
         if not queue:
-            node = History(trail, Fraction(num, den))
+            node = Leaf(History(trail, Fraction(num, den)))
         else:
             step = queue[0]
             if check:
@@ -392,21 +383,22 @@ class PlanTree:
             try:
                 transition = model.transition(state, step.query)
             except InconsistentHistory:
-                node = History(trail + ((step.query, None),), Fraction(num, den), forbidden=True)
+                node = Leaf(History(trail + ((step.query, None),), Fraction(num, den), forbidden=True))
             else:
                 node = PlanTree(model, queue[1:], transition, step, trail, num, den)
         self.children[i] = node
         return node
 
-    def sample(self, rng: SplitMix64, prior: int | None = None) -> SampledLeaf:
-        """One seeded leaf, one u64 and one binary search per level; ``prior``
-        is the index of an already drawn prior branch."""
+    def sample(self, rng: SplitMix64, prior: int | None = None) -> Leaf:
+        """One seeded leaf, one u64 and one binary search per level, with its
+        signature; ``prior`` is the index of an already drawn prior branch."""
         node = self if prior is None else self.child(prior)
         while type(node) is PlanTree:
             i = bisect_right(node.thresholds, rng.next_u64())
             node = node.children[i] or node.child(i)
-        entry = self.model._sampled_leaves.get(id(node))
-        return _sampled_leaf(self.model, node) if entry is None else entry
+        if node.signature is None:
+            node.signature = history_signature(node.history, self.model)
+        return node
 
 
 def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
@@ -419,11 +411,11 @@ def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
 
 
 def _collect(node: PlanTree, leaves: list[History]) -> None:
-    """Append the leaves below ``node``, depth first, building nodes unchecked."""
+    """Append the histories of the leaves below ``node``, depth first, building nodes unchecked."""
     for i in range(len(node.children)):
         child = node.child(i, check=False)
-        if type(child) is History:
-            leaves.append(child)
+        if type(child) is Leaf:
+            leaves.append(child.history)
         else:
             _collect(child, leaves)
 
@@ -444,15 +436,13 @@ def enumerate_histories(model: Model, plan: Iterable[PlanStep]) -> list[History]
 def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:
     """One seeded run of a plan: one draw for the hidden state, then one per
     visited step, each checked when reached; forbidden queries yield a
-    flagged history."""
-    return compile_plan(model, plan).sample(rng).sampled
+    flagged history, with weight 1."""
+    leaf = compile_plan(model, plan).sample(rng).history
+    return History(leaf.steps, Fraction(1), leaf.forbidden)
 
 
 def history_signature(history: History, model: Model) -> tuple:
     """Hashable label for grouping sampled and enumerated histories."""
-    known = model._sampled_leaves.get(id(history))
-    if known is not None:
-        return known.signature
     return tuple(
         (query.side, query.target, "forbidden" if outcome is None else model.outcome_key(query, outcome))
         for query, outcome in history.steps

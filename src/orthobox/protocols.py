@@ -346,10 +346,10 @@ def simulate_fable(trials: int, seed: int = 0, keep_rows: bool = False) -> Fable
         prior = bisect_right(thresholds, rng.next_u64())
         tree, full = trees[2 * rng.randrange(3) + rng.randrange(2)]
         guess_full = rng.randrange(2) == 0
-        leaf = tree.sample(rng, prior).history  # kept by the tree, so its id is fixed
-        score = scores.get(id(leaf))
+        leaf = tree.sample(rng, prior)
+        score = scores.get(leaf)
         if score is None:
-            score = scores[id(leaf)] = _fable_scores(leaf, full)
+            score = scores[leaf] = _fable_scores(leaf.history, full)
         third_full, second_ok, this_daniel_ok = score
         first_ok = guess_full == third_full
         daniel_ok += this_daniel_ok

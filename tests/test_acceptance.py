@@ -25,12 +25,11 @@ from orthobox.models import (
     PlanStep,
     Query,
     Session,
+    compile_plan,
     enumerate_histories,
     exact_distribution,
-    history_signature,
     make_model,
     parse_plan,
-    sample_history,
 )
 from orthobox.protocols import (
     assumption_report,
@@ -295,10 +294,11 @@ EXTRA_PLANS = {
 
 def sampling_matches(model, plan, n, seed) -> bool:
     exact = exact_distribution(model, plan)
+    tree = compile_plan(model, plan)  # the path ``simulate --trials`` samples
     rng = SplitMix64(seed)
     counts: dict[tuple, int] = {}
     for _ in range(n):
-        sig = history_signature(sample_history(model, plan, rng), model)
+        sig = tree.sample(rng).signature
         counts[sig] = counts.get(sig, 0) + 1
     if set(counts) - set(exact):
         return False

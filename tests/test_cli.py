@@ -209,8 +209,9 @@ class TestQuantumRef:
     ids=lambda argv: argv[0],
 )
 def test_unwritable_output_path_is_input_error(capsys, tmp_path, argv):
-    code, _, err = run(capsys, *argv, str(tmp_path))  # a directory, not a file
+    code, out, err = run(capsys, *argv, str(tmp_path))  # a directory, not a file
     assert code == 2
+    assert out == ""  # the path fails before any report is printed
     assert err.startswith("error: ")
 
 

@@ -56,9 +56,25 @@ def sampled(sample, signature, model, plan, seed):
     return runs, rng.next_u64()
 
 
+def signatures(result):
+    """``sampled``'s result with each (history, signature) trial cut to its signature."""
+    runs, draw = result
+    return [run if isinstance(run[0], type) else run[1] for run in runs], draw
+
+
+def leaf_signatures(model, plan, seed):
+    """``sampled`` through each compiled leaf's own signature, the path ``simulate --trials`` runs."""
+    def sample(model, plan, rng):
+        return compile_plan(model, plan).sample(rng)
+
+    return signatures(sampled(sample, lambda leaf, _: leaf.signature, model, plan, seed))
+
+
 def assert_matches_reference(build, plan, seed):
     model, ref = build(), build()
     expected = sampled(reference.sample_history, reference.signature, ref, plan, seed)
+    expected_signatures = signatures(expected)
+    assert leaf_signatures(model, plan, seed) == expected_signatures
     assert sampled(sample_history, history_signature, model, plan, seed) == expected
     expected_enumeration = enumerated(reference.enumerate_histories, reference.signature, ref, plan)
     assert enumerated(enumerate_histories, history_signature, model, plan) == expected_enumeration
@@ -66,6 +82,7 @@ def assert_matches_reference(build, plan, seed):
         assert exact_distribution(model, plan) == expected_enumeration[1]
     # Again, on the nodes the first pass built.
     assert sampled(sample_history, history_signature, model, plan, seed) == expected
+    assert leaf_signatures(model, plan, seed) == expected_signatures
     # From scratch, enumerating first.
     model = build()
     assert enumerated(enumerate_histories, history_signature, model, plan) == expected_enumeration
@@ -145,7 +162,6 @@ class TestTree:
         plan = parse_plan("alice A\nbob B")
         history = sample_history(model, plan, SplitMix64(3))
         assert history.probability == 1
-        assert sample_history(model, plan, SplitMix64(3)) is history
 
     def test_signature_of_a_history_built_by_hand(self):
         model = make_model("firefly")
