@@ -95,8 +95,10 @@ def _resolve_input(kind: str, name: str, suffix: str) -> Path:
 
 
 def _output_file(path: str | None):
-    """``path`` opened for writing before any work, so an unwritable one
-    fails with nothing on stdout; without a path, a context giving None."""
+    """``path`` opened for writing before anything is printed, so an
+    unwritable one fails with nothing on stdout; without a path, a context
+    giving None.  Callers open it only after the computation that checks
+    their inputs, so a bad input leaves no file."""
     return open(path, "w") if path else nullcontext()
 
 
@@ -155,8 +157,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
+    rows = sweep_gap(args.grid)
     with _output_file(args.csv) as csv_file:
-        rows = sweep_gap(args.grid)
         worst = min(rows, key=lambda r: (r.gap, r.p1, r.p2, r.p3))
         print(f"grid: denominator {args.grid}, {len(rows)} valid points")
         print(
@@ -211,8 +213,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fable(args) -> int:
+    stats = simulate_fable(args.trials, seed=args.seed, keep_rows=bool(args.per_trial))
     with _output_file(args.per_trial) as rows_file:
-        stats = simulate_fable(args.trials, seed=args.seed, keep_rows=bool(args.per_trial))
         print(f"trials: {stats.trials}")
         print(f"daniel success rate: {format_decimal(stats.daniel_success)}")
         print(f"sandu first-prophecy rate: {format_decimal(stats.sandu_first_success)}")

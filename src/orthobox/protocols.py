@@ -24,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .behavior import PLUS, MINUS, BehaviorTable
@@ -135,30 +136,88 @@ class SignallingReport(NamedTuple):
     shifted: Fraction | None
 
 
+def _signalling_parts(model: Model, keys: dict[str, list[str]], bob_targets: Sequence[str]):
+    """Bob's outcome masses per (first query, follow-up or none, Bob target)
+    and first outcome k, or None where a branch through k is forbidden; and
+    the first queries forbidden from some prior state.
+
+    Each plan puts the follow-up under every first outcome, so its histories
+    through k are the ones a strategy choosing that follow-up for k has."""
+    parts: dict = {}
+    blocked = set()
+    for first, follow in product(keys, (None, *model.admissible_targets(ALICE))):
+        branches = tuple((key, (PlanStep(ALICE, follow),)) for key in keys[first]) if follow else ()
+        for bob_target in bob_targets:
+            part = parts[first, follow, bob_target] = {key: {} for key in keys[first]}
+            for history in enumerate_histories(model, (PlanStep(ALICE, first, branches), PlanStep(BOB, bob_target))):
+                query, outcome = history.steps[0]
+                if outcome is None:
+                    blocked.add(first)
+                    continue
+                k = model.outcome_key(query, outcome)
+                if history.forbidden:
+                    part[k] = None
+                elif part[k] is not None:
+                    bob_key = model.outcome_key(*history.steps[-1])
+                    part[k][bob_key] = part[k].get(bob_key, 0) + history.probability
+    return parts, blocked
+
+
 def detect_signalling(model: Model) -> SignallingReport:
     """Search every depth-two strategy for a shift in some Bob marginal.
 
     Strategy/query combinations with forbidden branches are skipped: they are
     not realizable protocols in the model.  Returns the largest absolute
-    probability shift found, with the strategy and outcome achieving it.
+    probability shift found, with the strategy and outcome achieving it; a
+    tie goes to the first in strategy, Bob target and sorted outcome order.
+
+    Bob's marginal after a strategy is a sum over Alice's first outcome k of
+    the mass that reaches him through k and the follow-up chosen for k, so
+    each strategy is scored from ``_signalling_parts``: it sums its parts as
+    integers over the lcm of every part and baseline denominator, and only a
+    new best builds Fractions.
     """
-    best = SignallingReport(False, Fraction(0), None, None, None, None, None)
+    bob_targets = model.admissible_targets(BOB)
     baselines = {}
-    for bob_target in model.admissible_targets(BOB):
-        baselines[bob_target] = bob_marginal(model, None, bob_target)
-        if baselines[bob_target].forbidden_mass != 0:
+    for bob_target in bob_targets:
+        baseline = bob_marginal(model, None, bob_target)
+        if baseline.forbidden_mass != 0:
             raise InconsistentHistory(f"bob's baseline query {bob_target} cannot be forbidden")
-    for strategy in enumerate_strategies(model):
-        for bob_target in model.admissible_targets(BOB):
-            shifted = bob_marginal(model, strategy, bob_target)
-            if shifted.forbidden_mass != 0:
+        baselines[bob_target] = baseline.distribution
+    strategies = enumerate_strategies(model)
+    parts, blocked = _signalling_parts(
+        model, {strategy.first: [key for key, _ in strategy.branches] for strategy in strategies}, bob_targets
+    )
+
+    masses = {target: [base] for target, base in baselines.items()}
+    for (_, _, target), part in parts.items():
+        masses[target] += (m for m in part.values() if m is not None)
+    den = lcm(*(p.denominator for ms in masses.values() for m in ms for p in m.values()))
+    # Every outcome key of a target's parts and baseline, sorted; a key that
+    # neither side of one comparison gives has gap 0, which never wins.
+    order = {target: sorted(set().union(*ms)) for target, ms in masses.items()}
+
+    def scaled(target: str, m: dict | None) -> tuple[int, ...] | None:
+        return None if m is None else tuple(m[key].numerator * (den // m[key].denominator) if key in m else 0 for key in order[target])
+
+    vectors = {index: {k: scaled(index[2], m) for k, m in part.items()} for index, part in parts.items()}
+    base_vectors = {target: scaled(target, base) for target, base in baselines.items()}
+
+    best = SignallingReport(False, Fraction(0), None, None, None, None, None)
+    best_gap = 0  # over den
+    for strategy in strategies:
+        if strategy.first in blocked:
+            continue
+        for bob_target in bob_targets:
+            chosen = [vectors[strategy.first, follow, bob_target][k] for k, follow in strategy.branches]
+            if None in chosen:
                 continue
-            base = baselines[bob_target].distribution
-            for key in sorted(set(base) | set(shifted.distribution)):
-                b = base.get(key, Fraction(0))
-                s = shifted.distribution.get(key, Fraction(0))
-                if abs(s - b) > best.gap:
-                    best = SignallingReport(True, abs(s - b), strategy, bob_target, key, b, s)
+            for key, b, s in zip(order[bob_target], base_vectors[bob_target], map(sum, zip(*chosen))):
+                if abs(s - b) > best_gap:
+                    best_gap = abs(s - b)
+                    best = SignallingReport(
+                        True, Fraction(best_gap, den), strategy, bob_target, key, Fraction(b, den), Fraction(s, den)
+                    )
     return best
 
 

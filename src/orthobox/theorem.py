@@ -9,8 +9,11 @@ display.  Even against the most adversarial conditionals compatible with
 that constraint, Alice's adaptive choice shifts Bob's marginal for the first
 proposition by a strictly positive amount.
 
-Everything here is pure ``Fraction`` arithmetic; floats appear only when a
-sweep is rendered to CSV.
+Every value is an exact ``Fraction``; floats appear only when a sweep is
+rendered to CSV.  The worst case and its gap have one closed form in the
+integer numerators of a triple over a common denominator (``_worst_case``):
+``worst_case_params`` and ``signalling_gap`` put their triple over the lcm
+of its denominators, and ``sweep_gap`` runs the integers of its grid.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from math import lcm
+from typing import Callable, Iterator, NamedTuple
 
 from .rational import format_decimal, format_rational
 
@@ -134,31 +138,54 @@ def case_marginals(t: TripleMarginals, ab21: AlphaBeta, ab12: AlphaBeta) -> Case
     )
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _worst_case(a: int, b: int, c: int, n: int, over_n: Callable[[int], Fraction] | None = None):
+    """(beta, alpha, bob_p1, gap) against the worst-case conditionals for
+    indices (1, 2, 3) at (p1, p2, p3) = (a, b, c) / n, from integers.
+
+    The largest beta the averaging constraint allows is a n / ((n - b)(n - c)).
+    At most 1, it stands with alpha = 0; Bob's p(A1=1), which is
+    beta (1 - p2 - p3), is a (n - b - c) / ((n - b)(n - c)), and the gap
+    p1 - bob_p1 is a b c / (n (n - b)(n - c)).  Above 1, beta caps at 1,
+    alpha = (a n - (n - b)(n - c)) / ((n - b) c), bob_p1 = (n - b - c) / n
+    and the gap is (a + b + c - n) / n.  ``over_n(i)`` gives i / n.
+    """
+    nb, nc = n - b, n - c
+    capped = a * n > nb * nc
+    gap_num, gap_den = (a + b + c - n, n) if capped else (a * b * c, n * nb * nc)
+    if gap_num <= 0:
+        raise TheoremError(f"signalling gap {format_rational(Fraction(gap_num, gap_den))} is not positive")
+    if not capped:
+        d = nb * nc
+        return Fraction(a * n, d), _ZERO, Fraction(a * (nb - c), d), Fraction(gap_num, gap_den)
+    over_n = over_n or (lambda i: Fraction(i, n))
+    return _ONE, Fraction(a * n - nb * nc, nb * c), over_n(nb - c), over_n(gap_num)
+
+
+def _over_common_denominator(t: TripleMarginals) -> tuple[int, int, int, int]:
+    """(a, b, c, n) with (p1, p2, p3) = (a, b, c) / n, n the lcm of the denominators."""
+    n = lcm(t.p1.denominator, t.p2.denominator, t.p3.denominator)
+    return (*(p.numerator * (n // p.denominator) for p in t), n)
+
+
 def worst_case_params(t: TripleMarginals) -> AlphaBeta:
     """Adversarial conditionals for indices (1, 2, 3): the largest beta the
     averaging constraint allows, with alpha recovered if beta caps at 1."""
-    p1, p2, p3 = t
-    raw_beta = p1 / ((1 - p2) * (1 - p3))
-    if raw_beta <= 1:
-        return AlphaBeta(Fraction(0), raw_beta, (1, 2, 3))
-    alpha = (p1 / (1 - p2) - (1 - p3)) / p3
-    return AlphaBeta(alpha, Fraction(1), (1, 2, 3))
+    beta, alpha, _, _ = _worst_case(*_over_common_denominator(t))
+    return AlphaBeta(alpha, beta, (1, 2, 3))
 
 
 def signalling_gap(t: TripleMarginals) -> Fraction:
     """How far Alice can pull Bob's p(A1=1) below p1, against the worst-case
-    conditionals; strictly positive whenever all three marginals are."""
-    return _gap(t, worst_case_params(t))
+    conditionals; strictly positive whenever all three marginals are.
 
-
-def _gap(t: TripleMarginals, worst: AlphaBeta) -> Fraction:
-    # Alice finds A3 = 1 (weight p3) and measures A1, leaving Bob's A1 at 0;
-    # she finds A3 = 0 (weight 1 - p3) and measures A2, leaving case iv's
-    # beta * (1 - p2 - p3) / (1 - p3).  So Bob's p(A1=1) is beta * (1 - p2 - p3).
-    gap = t.p1 - worst.beta * (1 - t.p2 - t.p3)
-    if gap <= 0:
-        raise TheoremError(f"signalling gap {format_rational(gap)} is not positive")
-    return gap
+    Alice finds A3 = 1 (weight p3) and measures A1, leaving Bob's A1 at 0;
+    she finds A3 = 0 (weight 1 - p3) and measures A2, leaving case iv's
+    beta * (1 - p2 - p3) / (1 - p3).  So Bob's p(A1=1) is beta * (1 - p2 - p3).
+    """
+    return _worst_case(*_over_common_denominator(t))[3]
 
 
 class SweepRow(NamedTuple):
@@ -171,28 +198,19 @@ class SweepRow(NamedTuple):
     gap: Fraction
 
 
-def valid_grid(denominator: int) -> Iterator[TripleMarginals]:
-    """All triples with entries in {1/N, ..., (N-1)/N} and pairwise sums <= 1."""
+def sweep_gap(denominator: int) -> list[SweepRow]:
+    """One row per triple with entries in {1/N, ..., (N-1)/N} and pairwise
+    sums at most 1, in (p1, p2, p3) order; each row comes from the integer
+    numerators over N, and the grid's values i / N are built once."""
     if denominator < 2:
         raise TheoremError("grid denominator must be at least 2")
-    for a in range(1, denominator):
-        for b in range(1, denominator):
-            if a + b > denominator:
-                continue
-            for c in range(1, denominator):
-                if a + c > denominator or b + c > denominator:
-                    continue
-                yield TripleMarginals(
-                    Fraction(a, denominator), Fraction(b, denominator), Fraction(c, denominator)
-                )
-
-
-def sweep_gap(denominator: int) -> list[SweepRow]:
+    n = denominator
+    over_n = [Fraction(i, n) for i in range(n + 1)]
     rows = []
-    for t in valid_grid(denominator):
-        worst = worst_case_params(t)
-        gap = _gap(t, worst)
-        rows.append(SweepRow(t.p1, t.p2, t.p3, worst.beta, worst.alpha, t.p1 - gap, gap))
+    for a in range(1, n):
+        for b in range(1, n - a + 1):
+            for c in range(1, n - max(a, b) + 1):
+                rows.append(SweepRow(over_n[a], over_n[b], over_n[c], *_worst_case(a, b, c, n, over_n.__getitem__)))
     return rows
 
 

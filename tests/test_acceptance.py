@@ -48,7 +48,8 @@ from orthobox.quantumref import (
 )
 from orthobox.rng import SplitMix64
 from orthobox.scenario import orthogonality_graph, specker_triple
-from orthobox.theorem import TripleMarginals, signalling_gap, valid_grid, worst_case_params
+from orthobox.theorem import TripleMarginals, signalling_gap, worst_case_params
+from reference_theorem import valid_grid
 
 
 def verdict(number: int, ok: bool, summary: str):

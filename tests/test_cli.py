@@ -215,6 +215,23 @@ def test_unwritable_output_path_is_input_error(capsys, tmp_path, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fable", "--trials", "0", "--per-trial"), "need at least one trial"),
+        (("verify-theorem", "--grid", "1", "--csv"), "grid denominator must be at least 2"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, tuple) else None,
+)
+def test_bad_input_leaves_no_output_file(capsys, tmp_path, argv, message):
+    target = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, str(target))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert not target.exists()
+
+
 class TestHelpAndColor:
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,9 +13,9 @@ from orthobox.theorem import (
     signalling_gap,
     sweep_csv,
     sweep_gap,
-    valid_grid,
     worst_case_params,
 )
+from reference_theorem import valid_grid
 
 THIRDS = TripleMarginals(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 HALVES = TripleMarginals(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
