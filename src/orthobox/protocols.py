@@ -12,8 +12,11 @@ The three assumptions probed for each model:
 
 All verdicts come from exact enumeration over finite plan spaces: adaptive
 strategies of depth at most two for (c), every interleaved realization of a
-pair of contexts for (a), fresh-session order comparisons for (b).
-Distribution comparisons are exact rational equality throughout.  Every
+pair of contexts for (a), fresh-session order comparisons for (b).  For (c)
+each (first query, follow-up, Bob target) plan is enumerated once and split
+by Alice's first outcome, and each strategy sums its parts in integers over
+one common denominator.  Distribution comparisons are exact rational
+equality throughout.  Every
 distribution is read through ``_distribution``; a forbidden branch in a plan
 run on a fresh session is an ``InconsistentHistory`` naming the plan.
 """
@@ -198,7 +201,10 @@ def detect_signalling(model: Model) -> SignallingReport:
     order = {target: sorted(set().union(*ms)) for target, ms in masses.items()}
 
     def scaled(target: str, m: dict | None) -> tuple[int, ...] | None:
-        return None if m is None else tuple(m[key].numerator * (den // m[key].denominator) if key in m else 0 for key in order[target])
+        """A part's or baseline's masses as numerators over den, in the target's key order."""
+        if m is None:
+            return None
+        return tuple(m[key].numerator * (den // m[key].denominator) if key in m else 0 for key in order[target])
 
     vectors = {index: {k: scaled(index[2], m) for k, m in part.items()} for index, part in parts.items()}
     base_vectors = {target: scaled(target, base) for target, base in baselines.items()}

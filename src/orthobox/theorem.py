@@ -22,7 +22,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .rational import format_decimal, format_rational
 
@@ -141,7 +141,7 @@ def case_marginals(t: TripleMarginals, ab21: AlphaBeta, ab12: AlphaBeta) -> Case
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _worst_case(a: int, b: int, c: int, n: int, over_n: Callable[[int], Fraction] | None = None):
+def _worst_case(a: int, b: int, c: int, n: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(beta, alpha, bob_p1, gap) against the worst-case conditionals for
     indices (1, 2, 3) at (p1, p2, p3) = (a, b, c) / n, from integers.
 
@@ -150,7 +150,7 @@ def _worst_case(a: int, b: int, c: int, n: int, over_n: Callable[[int], Fraction
     beta (1 - p2 - p3), is a (n - b - c) / ((n - b)(n - c)), and the gap
     p1 - bob_p1 is a b c / (n (n - b)(n - c)).  Above 1, beta caps at 1,
     alpha = (a n - (n - b)(n - c)) / ((n - b) c), bob_p1 = (n - b - c) / n
-    and the gap is (a + b + c - n) / n.  ``over_n(i)`` gives i / n.
+    and the gap is (a + b + c - n) / n.
     """
     nb, nc = n - b, n - c
     capped = a * n > nb * nc
@@ -160,8 +160,7 @@ def _worst_case(a: int, b: int, c: int, n: int, over_n: Callable[[int], Fraction
     if not capped:
         d = nb * nc
         return Fraction(a * n, d), _ZERO, Fraction(a * (nb - c), d), Fraction(gap_num, gap_den)
-    over_n = over_n or (lambda i: Fraction(i, n))
-    return _ONE, Fraction(a * n - nb * nc, nb * c), over_n(nb - c), over_n(gap_num)
+    return _ONE, Fraction(a * n - nb * nc, nb * c), Fraction(nb - c, n), Fraction(gap_num, n)
 
 
 def _over_common_denominator(t: TripleMarginals) -> tuple[int, int, int, int]:
@@ -205,12 +204,12 @@ def sweep_gap(denominator: int) -> list[SweepRow]:
     if denominator < 2:
         raise TheoremError("grid denominator must be at least 2")
     n = denominator
-    over_n = [Fraction(i, n) for i in range(n + 1)]
+    p = [Fraction(i, n) for i in range(n)]
     rows = []
     for a in range(1, n):
         for b in range(1, n - a + 1):
             for c in range(1, n - max(a, b) + 1):
-                rows.append(SweepRow(over_n[a], over_n[b], over_n[c], *_worst_case(a, b, c, n, over_n.__getitem__)))
+                rows.append(SweepRow(p[a], p[b], p[c], *_worst_case(a, b, c, n)))
     return rows
 
 
