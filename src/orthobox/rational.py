@@ -19,7 +19,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Render as ``num/den`` (``num`` alone for integers)."""
-    value = Fraction(value)
+    if type(value) is not Fraction:  # rebuilding a Fraction would cost more than rendering it
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
