@@ -42,8 +42,6 @@ from .protocols import (
 from .scenario import (
     MarginalVector,
     OrthoScenario,
-    coarse_grain_to_three,
-    is_specker,
     load_scenario_file,
     orthogonality_graph,
     specker_triple,
@@ -51,9 +49,6 @@ from .scenario import (
 from .theorem import (
     AlphaBeta,
     TripleMarginals,
-    case_marginals,
-    conditional_probs,
-    nosig_constraint_residual,
     signalling_gap,
     sweep_gap,
     worst_case_params,

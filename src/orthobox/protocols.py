@@ -345,9 +345,6 @@ class AssumptionReport(NamedTuple):
     b: AssumptionVerdict
     c: AssumptionVerdict
 
-    def verdicts(self) -> tuple[bool, ...]:
-        return tuple(verdict.holds for verdict in self)
-
 
 def assumption_report(model: Model) -> AssumptionReport:
     return AssumptionReport(test_assumption_a(model), test_assumption_b(model), test_assumption_c(model))

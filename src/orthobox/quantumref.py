@@ -89,10 +89,6 @@ class ProjectorPair:
             _max_entry(self.plus + self.minus - identity),
         )
 
-    @property
-    def dimension(self) -> int:
-        return self.plus.shape[0]
-
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -174,17 +170,9 @@ class SpinOneFrame:
         v = self.vectors[index]
         return np.outer(v, v.conj())
 
-    def projectors(self) -> list[np.ndarray]:
-        return [self.projector(i) for i in range(3)]
-
     @staticmethod
     def canonical() -> "SpinOneFrame":
         return SpinOneFrame(_canonical_directions())
-
-    @staticmethod
-    def random(rng: np.random.Generator) -> "SpinOneFrame":
-        u = random_unitary(3, rng)
-        return SpinOneFrame(_canonical_directions() @ u.T)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -8,7 +8,8 @@ of its maximal sets; membership of any subset reduces to a containment test.
 A scenario is *orthocoherent* when every pairwise orthogonal set is jointly
 orthogonal, i.e. when the family equals the clique complex of its
 orthogonality graph.  Scenarios violating this contain a minimal
-counterexample, which can always be coarse-grained down to three elements.
+counterexample; that it coarse-grains down to three elements is checked by
+the property tests in ``tests/test_scenario.py``.
 """
 
 from __future__ import annotations
@@ -91,11 +92,6 @@ def cliques(graph: Graph) -> Iterator[tuple[Label, ...]]:
     yield from extend((), sorted(graph))
 
 
-def is_specker(scenario: OrthoScenario) -> bool:
-    """True iff every clique of the orthogonality graph is jointly orthogonal."""
-    return all(scenario.is_joint(c) for c in cliques(orthogonality_graph(scenario)) if len(c) >= 3)
-
-
 def find_all_minimal_non_specker(scenario: OrthoScenario) -> list[tuple[Label, ...]]:
     """All pairwise orthogonal sets that are not joint but whose proper subsets are.
 
@@ -112,37 +108,6 @@ def find_all_minimal_non_specker(scenario: OrthoScenario) -> list[tuple[Label, .
             found.append(clique)
     found.sort(key=lambda s: (len(s), s))
     return found
-
-
-def coarse_grain_to_three(scenario: OrthoScenario, minimal_set: Sequence[Label]) -> tuple[OrthoScenario, Label]:
-    """Merge all but the first two members of a minimal non-Specker set.
-
-    The merged proposition stands for the disjunction of the merged ones; a
-    subset containing it is jointly orthogonal iff the expanded subset was.
-    Returns the new scenario and the merged label.  The image of the minimal
-    set is again a three-element minimal non-Specker set.
-    """
-    m = tuple(sorted(minimal_set))
-    if len(m) < 3:
-        raise ScenarioError(f"need at least 3 propositions to coarse-grain, got {len(m)}")
-    if m not in find_all_minimal_non_specker(scenario):
-        raise ScenarioError(f"{list(m)} is not a minimal non-Specker set of this scenario")
-    if len(m) == 3:
-        return scenario, m[2]
-
-    merged = frozenset(m[2:])
-    merged_label = "|".join(m[2:])
-    if merged_label in scenario.propositions:
-        raise ScenarioError(f"merged label {merged_label!r} collides with an existing proposition")
-    new_props = tuple(p for p in scenario.propositions if p not in merged) + (merged_label,)
-
-    new_sets: list[frozenset[Label]] = []
-    for ms in scenario.maximal_joint_sets:
-        if merged <= ms:
-            new_sets.append(frozenset(ms - merged) | {merged_label})
-        new_sets.append(frozenset(ms - merged))
-    result = OrthoScenario.from_sets(new_props, [s for s in new_sets if s])
-    return result, merged_label
 
 
 @dataclass(frozen=True)
@@ -169,16 +134,6 @@ class MarginalVector:
                     f"orthogonal pair ({a}, {b}) has marginals summing to "
                     f"{format_rational(self[a] + self[b])} > 1"
                 )
-
-    def coarse_grain(self, minimal_set: Sequence[Label], merged_label: Label) -> "MarginalVector":
-        """Merged proposition gets the sum of the merged entries (disjunction)."""
-        m = tuple(sorted(minimal_set))
-        merged = set(m[2:])
-        if len(m) == 3:
-            return self
-        new_values = {k: v for k, v in self.values.items() if k not in merged}
-        new_values[merged_label] = sum((self.values[k] for k in merged), Fraction(0))
-        return MarginalVector(new_values)
 
 
 def load_scenario_file(path: str | Path) -> tuple[OrthoScenario, MarginalVector | None]:

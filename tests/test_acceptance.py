@@ -49,7 +49,7 @@ from orthobox.quantumref import (
 from orthobox.rng import SplitMix64
 from orthobox.scenario import orthogonality_graph, specker_triple
 from orthobox.theorem import TripleMarginals, signalling_gap, worst_case_params
-from reference_theorem import valid_grid
+from reference_theorem import nosig_constraint_residual, valid_grid
 
 
 def verdict(number: int, ok: bool, summary: str):
@@ -124,8 +124,6 @@ def test_criterion_03_worst_case_consistency():
         trials += 1
         t = TripleMarginals(p1, p2, p3)
         wc = worst_case_params(t)
-        from orthobox.theorem import nosig_constraint_residual
-
         if not (0 <= wc.alpha <= 1 and 0 <= wc.beta <= 1):
             ok = False
         if nosig_constraint_residual(wc, t) != 0:
@@ -166,7 +164,7 @@ def test_criterion_05_assumption_matrix():
     ok = True
     for name, want in expected.items():
         report = assumption_report(make_model(name))
-        if report.verdicts() != want:
+        if tuple(v.holds for v in report) != want:
             ok = False
         for v in (report.a, report.b, report.c):
             if not v.holds and v.witness is None:

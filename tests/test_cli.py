@@ -118,6 +118,14 @@ class TestSimulate:
         assert code == 2
         assert "duplicate" in err
 
+    def test_plan_without_steps_is_input_error(self, capsys, tmp_path):
+        plan = tmp_path / "blank.plan"
+        plan.write_text("# only a comment\n\n   \n")
+        code, out, err = run(capsys, "simulate", "seer", "--plan", str(plan))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "blank.plan" in err
+
     def test_negative_trials_rejected(self, capsys):
         for argv in (
             ["simulate", "seer", "--plan", "fable", "--trials", "-5"],

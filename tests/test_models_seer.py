@@ -13,9 +13,9 @@ from orthobox.models import (
     make_model,
 )
 from orthobox.rng import SplitMix64
-from orthobox.theorem import conditional_probs
 
 from plan_digest import linear_plan_digest
+from reference_theorem import conditional_probs
 
 
 def signatures(model, plan):

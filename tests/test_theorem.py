@@ -7,15 +7,12 @@ from orthobox.theorem import (
     AlphaBeta,
     TheoremError,
     TripleMarginals,
-    case_marginals,
-    conditional_probs,
-    nosig_constraint_residual,
     signalling_gap,
     sweep_csv,
     sweep_gap,
     worst_case_params,
 )
-from reference_theorem import valid_grid
+from reference_theorem import case_marginals, conditional_probs, nosig_constraint_residual, valid_grid
 
 THIRDS = TripleMarginals(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
 HALVES = TripleMarginals(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
@@ -179,6 +176,16 @@ class TestSignallingGap:
             mirror = t.p2 / (1 - t.p1)
             cases = case_marginals(t, AlphaBeta(mirror, mirror, (2, 1, 3)), worst_case_params(t))
             assert signalling_gap(t) == t.p1 - (1 - t.p3) * cases.case_iv[0]
+        # Every sweep column: the worst case meets the averaging constraint,
+        # and bob_p1 and gap are what the four cases make of it.
+        for row in sweep_gap(14):
+            t = TripleMarginals(row.p1, row.p2, row.p3)
+            worst = AlphaBeta(row.alpha_worst, row.beta_worst, (1, 2, 3))
+            assert nosig_constraint_residual(worst, t) == 0
+            mirror = t.p2 / (1 - t.p1)
+            cases = case_marginals(t, AlphaBeta(mirror, mirror, (2, 1, 3)), worst)
+            assert row.bob_p1 == (1 - t.p3) * cases.case_iv[0]
+            assert row.gap == row.p1 - row.bob_p1
 
 
 class TestSweep:
