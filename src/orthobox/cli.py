@@ -35,8 +35,10 @@ from .behavior import (
 )
 from .models import (
     BranchMassError,
+    FLAVORS,
     InadmissibleQuery,
     InconsistentHistory,
+    MODEL_NAMES,
     compile_plan,
     enumerate_histories,
     group_histories,
@@ -234,13 +236,9 @@ def cmd_fable(args) -> int:
 
 def _battery_models(name: str, flavor: str):
     if name == "all":
-        return [make_model("seer"), make_model("firefly", flavor="mirror"), make_model("lsw")]
+        return [make_model(model) for model in MODEL_NAMES]
     if name == "firefly-variants":
-        return [
-            make_model("firefly", flavor="mirror"),
-            make_model("firefly", flavor="alice_cuts_bob_local"),
-            make_model("firefly", flavor="alice_cuts_bob_mirror"),
-        ]
+        return [make_model("firefly", flavor=f) for f in FLAVORS]
     return [make_model(name, flavor=flavor)]
 
 
@@ -395,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_theorem)
 
     p = sub.add_parser("simulate", parents=[seeded], help="run a query plan against a model")
-    p.add_argument("model", choices=("seer", "firefly", "lsw"))
+    p.add_argument("model", choices=MODEL_NAMES)
     p.add_argument("--plan", required=True, help="plan file (bundled: fable, lsw_collapse, firefly_ca_bc)")
     p.add_argument("--flavor", default="mirror", help="firefly flavor")
     p.add_argument("--trials", type=nonnegative_int, default=0, help="also sample this many runs")
@@ -407,13 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fable)
 
     p = sub.add_parser("assumptions", help="evaluate the three assumptions per model")
-    p.add_argument("model", choices=("seer", "firefly", "lsw", "all", "firefly-variants"))
+    p.add_argument("model", choices=(*MODEL_NAMES, "all", "firefly-variants"))
     p.add_argument("--flavor", default="mirror")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=cmd_assumptions)
 
     p = sub.add_parser("pr-boxes", help="canonical boxes, or a model's box realization")
-    p.add_argument("--model", choices=("seer", "firefly", "lsw"))
+    p.add_argument("--model", choices=MODEL_NAMES)
     p.add_argument("--flavor", default="mirror")
     p.set_defaults(func=cmd_pr_boxes)
 

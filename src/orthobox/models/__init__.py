@@ -51,37 +51,3 @@ def make_model(
     if name == "lsw":
         return LswModel()
     raise ValueError(f"unknown model {name!r}; pick one of {MODEL_NAMES}")
-
-
-__all__ = [
-    "ALICE",
-    "BOB",
-    "BOXES",
-    "BranchMassError",
-    "FLAVORS",
-    "FireflyModel",
-    "History",
-    "InadmissibleQuery",
-    "InconsistentHistory",
-    "LswModel",
-    "MODEL_NAMES",
-    "Model",
-    "Outcome",
-    "PAIRS",
-    "Plan",
-    "PlanStep",
-    "PlanTree",
-    "Query",
-    "SeerModel",
-    "Session",
-    "compile_plan",
-    "enumerate_histories",
-    "exact_distribution",
-    "group_histories",
-    "history_signature",
-    "load_plan",
-    "make_model",
-    "parse_plan",
-    "plan_steps",
-    "sample_history",
-]

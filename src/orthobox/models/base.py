@@ -410,14 +410,22 @@ def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
     return tree
 
 
-def _collect(node: PlanTree, leaves: list[History]) -> None:
-    """Append the histories of the leaves below ``node``, depth first, building nodes unchecked."""
-    for i in range(len(node.children)):
-        child = node.child(i, check=False)
-        if type(child) is Leaf:
-            leaves.append(child.history)
-        else:
-            _collect(child, leaves)
+def _collect(root: PlanTree) -> list[History]:
+    """The histories of the leaves below ``root``, depth first, building nodes
+    unchecked; a stack of (node, next child index) in place of recursion, so
+    a plan's length is bounded by memory, not by the interpreter's call depth."""
+    leaves: list[History] = []
+    stack = [(root, 0)]
+    while stack:
+        node, i = stack.pop()
+        if i < len(node.children):
+            stack.append((node, i + 1))
+            child = node.child(i, check=False)
+            if type(child) is Leaf:
+                leaves.append(child.history)
+            else:
+                stack.append((child, 0))
+    return leaves
 
 
 def enumerate_histories(model: Model, plan: Iterable[PlanStep]) -> list[History]:
@@ -428,9 +436,7 @@ def enumerate_histories(model: Model, plan: Iterable[PlanStep]) -> list[History]
     plan = tuple(plan)
     for step in plan_steps(plan):
         check_step(model, step)
-    leaves: list[History] = []
-    _collect(PlanTree(model, plan), leaves)
-    return leaves
+    return _collect(PlanTree(model, plan))
 
 
 def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:

@@ -144,6 +144,14 @@ class TestSimulate:
         assert code == 0
         assert zero == exact
 
+    def test_long_sequential_plan_enumerates(self, capsys, tmp_path):
+        # Three times the interpreter's default recursion limit.
+        plan = tmp_path / "long.plan"
+        plan.write_text("alice A\n" * 3000)
+        code, out, _ = run(capsys, "simulate", "lsw", "--plan", str(plan))
+        assert code == 0
+        assert "(2 branches, 2 distinct outcomes)" in out
+
     def test_inadmissible_plan_is_input_error(self, capsys, tmp_path):
         plan = tmp_path / "bad.plan"
         plan.write_text("alice A\n")
@@ -278,3 +286,24 @@ def test_cli_import_leaves_numpy_unloaded():
     assert modules_loaded("import orthobox.cli; orthobox.cli.main(['check', 'specker_triple'])", "numpy") == ["numpy"]
     used = modules_loaded("import orthobox.cli; orthobox.cli.main(['quantum-ref', '--trials', '1'])", "numpy")
     assert "numpy.linalg" in used
+
+
+def test_library_modules_load_only_their_imports():
+    assert modules_loaded("import orthobox.theorem", "orthobox") == ["orthobox", "orthobox.rational", "orthobox.theorem"]
+    scenario = set(modules_loaded("import orthobox.scenario", "orthobox"))
+    assert not scenario & {"orthobox.models", "orthobox.behavior", "orthobox.protocols"}
+    models = set(modules_loaded("import orthobox.models", "orthobox"))
+    assert not models & {"orthobox.protocols", "orthobox.behavior", "orthobox.scenario", "orthobox.theorem"}
+
+
+def test_cli_import_loads_every_traced_module():
+    # The benchmark's tracer instruments the MODULE_LAYERS modules only if they
+    # are loaded once the CLI is imported.  Making the CLI import lazily
+    # (ROADMAP item 2) must change this guard together with the benchmark
+    # (ROADMAP item 1).
+    tracing = ast.parse((Path(__file__).parents[1] / "benchmarks" / "tracing.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value) for node in tracing.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "MODULE_LAYERS"
+    )
+    assert set(layers) <= set(modules_loaded("import orthobox.cli", "orthobox"))
