@@ -188,10 +188,13 @@ def cmd_verify_theorem(args) -> int:
 def cmd_simulate(args) -> int:
     model = make_model(args.model, flavor=args.flavor)
     plan_path = _resolve_input("plans", args.plan, ".plan")
-    plan = load_plan(plan_path)
-    if not plan:
-        raise ValueError(f"{plan_path.name}: plan has no steps")
-    tree = compile_plan(model, plan)  # sampling builds only the branches it draws
+    try:  # parsing and hashing a plan recurse once per nesting level
+        plan = load_plan(plan_path)
+        if not plan:
+            raise ValueError(f"{plan_path.name}: plan has no steps")
+        tree = compile_plan(model, plan)  # sampling builds only the branches it draws
+    except RecursionError:
+        raise ValueError(f"{plan_path.name}: plan nests too deeply") from None
     histories = enumerate_histories(model, plan)
     grouped = group_histories(histories, lambda h: history_signature(h, model))
     rng = SplitMix64(args.seed)

@@ -88,7 +88,6 @@ class Transition(NamedTuple):
 
     branches: tuple[tuple[Outcome, str | None, object, Fraction], ...]
     thresholds: tuple[int, ...]
-    weights: tuple[tuple[int, int], ...]  # each branch's p as (numerator, denominator)
 
     def draw(self, rng: SplitMix64):
         """The first branch with ``u < threshold``, i.e. ``u / 2**64 < cum``."""
@@ -97,7 +96,7 @@ class Transition(NamedTuple):
 
 def _transition(source: str, triples: Iterable[tuple], key: Callable) -> Transition:
     """Build from ``(outcome, next_state, p)`` triples: nonnegative, summing to exactly 1."""
-    branches, thresholds, weights, total = [], [], [], Fraction(0)
+    branches, thresholds, total = [], [], Fraction(0)
     for outcome, state, p in triples:
         if p < 0:
             raise BranchMassError(f"{source}: negative branch weight {p}")
@@ -105,10 +104,9 @@ def _transition(source: str, triples: Iterable[tuple], key: Callable) -> Transit
             total += p
             branches.append((outcome, key(outcome), state, p))
             thresholds.append(-((-total.numerator << 64) // total.denominator))
-            weights.append((p.numerator, p.denominator))
     if total != 1:
         raise BranchMassError(f"{source}: branch weights sum to {total}, not 1")
-    return Transition(tuple(branches), tuple(thresholds), tuple(weights))
+    return Transition(tuple(branches), tuple(thresholds))
 
 
 class Model:
@@ -344,18 +342,36 @@ class Leaf:
         self.signature: tuple | None = None
 
 
+def _linked(steps: tuple, rest: tuple | None = None) -> tuple | None:
+    """``steps`` pushed in front of a queue of linked ``(step, rest)`` pairs."""
+    for step in reversed(steps):
+        rest = (step, rest)
+    return rest
+
+
+def _unlinked(trail: tuple | None) -> tuple:
+    """A trail of linked ``(earlier, (query, outcome))`` pairs as a History's steps."""
+    steps = []
+    while trail is not None:
+        trail, taken = trail
+        steps.append(taken)
+    return tuple(reversed(steps))
+
+
 class PlanTree:
     """A plan compiled against one model, as its root or any node below: the
     prior (``step`` None) or a reached step, with one cached Transition, the
     path weight ``num/den`` so far, and per branch a child built on first
-    visit from the pending plan queue; a finished or forbidden child is a Leaf."""
+    visit from the pending plan queue; a finished or forbidden child is a Leaf.
+    The queue and the trail of steps taken are linked pairs that a node
+    shares with its parent, so a plan's tree grows linearly with its length."""
 
-    __slots__ = ("model", "thresholds", "branches", "weights", "children", "step", "rest", "trail", "num", "den")
+    __slots__ = ("model", "thresholds", "branches", "children", "step", "rest", "trail", "num", "den")
 
-    def __init__(self, model: Model, rest: tuple, transition: Transition | None = None, step: PlanStep | None = None,
-                 trail: tuple = (), num: int = 1, den: int = 1):
+    def __init__(self, model: Model, rest: tuple | None, transition: Transition | None = None,
+                 step: PlanStep | None = None, trail: tuple | None = None, num: int = 1, den: int = 1):
         self.model = model
-        self.branches, self.thresholds, self.weights = model.prior if transition is None else transition
+        self.branches, self.thresholds = model.prior if transition is None else transition
         self.children: list = [None] * len(self.branches)
         self.step, self.rest, self.trail, self.num, self.den = step, rest, trail, num, den
 
@@ -365,27 +381,26 @@ class PlanTree:
         node = self.children[i]
         if node is not None:
             return node
-        outcome, key, state, _ = self.branches[i]
-        pn, pd = self.weights[i]
+        outcome, key, state, p = self.branches[i]
         step, model = self.step, self.model
         if step is None:
             queue, trail = self.rest, self.trail
         else:
-            queue, trail = step.substeps(key) + self.rest, self.trail + ((step.query, outcome),)
+            queue, trail = _linked(step.substeps(key), self.rest), (self.trail, (step.query, outcome))
         # Integer products, reduced once per leaf: cheaper than a Fraction product per node.
-        num, den = self.num * pn, self.den * pd
-        if not queue:
-            node = Leaf(History(trail, Fraction(num, den)))
+        num, den = self.num * p.numerator, self.den * p.denominator
+        if queue is None:
+            node = Leaf(History(_unlinked(trail), Fraction(num, den)))
         else:
-            step = queue[0]
+            step, rest = queue
             if check:
                 check_step(model, step)
             try:
                 transition = model.transition(state, step.query)
             except InconsistentHistory:
-                node = Leaf(History(trail + ((step.query, None),), Fraction(num, den), forbidden=True))
+                node = Leaf(History(_unlinked((trail, (step.query, None))), Fraction(num, den), forbidden=True))
             else:
-                node = PlanTree(model, queue[1:], transition, step, trail, num, den)
+                node = PlanTree(model, rest, transition, step, trail, num, den)
         self.children[i] = node
         return node
 
@@ -406,7 +421,7 @@ def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
     plan = tuple(plan)
     tree = model._trees.get(plan)
     if tree is None:
-        tree = model._trees[plan] = PlanTree(model, plan)
+        tree = model._trees[plan] = PlanTree(model, _linked(plan))
     return tree
 
 
@@ -436,7 +451,7 @@ def enumerate_histories(model: Model, plan: Iterable[PlanStep]) -> list[History]
     plan = tuple(plan)
     for step in plan_steps(plan):
         check_step(model, step)
-    return _collect(PlanTree(model, plan))
+    return _collect(PlanTree(model, _linked(plan)))
 
 
 def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:

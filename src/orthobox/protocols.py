@@ -14,11 +14,12 @@ All verdicts come from exact enumeration over finite plan spaces: adaptive
 strategies of depth at most two for (c), every interleaved realization of a
 pair of contexts for (a), fresh-session order comparisons for (b).  For (c)
 each (first query, follow-up, Bob target) plan is enumerated once and split
-by Alice's first outcome, and each strategy sums its parts in integers over
-one common denominator.  Distribution comparisons are exact rational
-equality throughout.  Every
-distribution is read through ``_distribution``; a forbidden branch in a plan
-run on a fresh session is an ``InconsistentHistory`` naming the plan.
+by Alice's first outcome; Bob's shift is a sum of one independent term per
+first outcome, so its extremes come from the best follow-up under each
+outcome, not from scoring every strategy.  Distribution comparisons are
+exact rational equality throughout.  Every distribution is read through
+``_distribution``; a forbidden branch in a plan run on a fresh session is
+an ``InconsistentHistory`` naming the plan.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .behavior import PLUS, MINUS, BehaviorTable
@@ -118,17 +118,6 @@ def first_outcomes(model: Model, side: str, target: str) -> tuple[str, ...]:
     return tuple(sorted(dist.keys() - {None}))
 
 
-def enumerate_strategies(model: Model) -> list[AliceStrategy]:
-    """All depth-two adaptive strategies over Alice's admissible queries."""
-    targets = model.admissible_targets(ALICE)
-    strategies = []
-    for first in targets:
-        keys = first_outcomes(model, ALICE, first)
-        for choices in product((None,) + tuple(targets), repeat=len(keys)):
-            strategies.append(AliceStrategy(first, tuple(zip(keys, choices))))
-    return strategies
-
-
 class SignallingReport(NamedTuple):
     signalling: bool
     gap: Fraction
@@ -139,7 +128,7 @@ class SignallingReport(NamedTuple):
     shifted: Fraction | None
 
 
-def _signalling_parts(model: Model, keys: dict[str, list[str]], bob_targets: Sequence[str]):
+def _signalling_parts(model: Model, keys: dict[str, Sequence[str]], bob_targets: Sequence[str]):
     """Bob's outcome masses per (first query, follow-up or none, Bob target)
     and first outcome k, or None where a branch through k is forbidden; and
     the first queries forbidden from some prior state.
@@ -175,55 +164,47 @@ def detect_signalling(model: Model) -> SignallingReport:
     tie goes to the first in strategy, Bob target and sorted outcome order.
 
     Bob's marginal after a strategy is a sum over Alice's first outcome k of
-    the mass that reaches him through k and the follow-up chosen for k, so
-    each strategy is scored from ``_signalling_parts``: it sums its parts as
-    integers over the lcm of every part and baseline denominator, and only a
-    new best builds Fractions.
+    the mass that reaches him through k and the follow-up chosen for k
+    (``_signalling_parts``).  The terms are independent, so the sum is
+    largest (smallest) when each term is: per first query, Bob target and
+    key, the strategy picking under each k the earliest follow-up with the
+    most (least) mass is the earliest one at that extreme, and only those
+    two are scored, in exact Fractions.
     """
-    bob_targets = model.admissible_targets(BOB)
+    alice_targets, bob_targets = model.admissible_targets(ALICE), model.admissible_targets(BOB)
     baselines = {}
     for bob_target in bob_targets:
         baseline = bob_marginal(model, None, bob_target)
         if baseline.forbidden_mass != 0:
             raise InconsistentHistory(f"bob's baseline query {bob_target} cannot be forbidden")
         baselines[bob_target] = baseline.distribution
-    strategies = enumerate_strategies(model)
-    parts, blocked = _signalling_parts(
-        model, {strategy.first: [key for key, _ in strategy.branches] for strategy in strategies}, bob_targets
-    )
+    keys = {first: first_outcomes(model, ALICE, first) for first in alice_targets}
+    parts, blocked = _signalling_parts(model, keys, bob_targets)
+    follows = (None, *alice_targets)
 
-    masses = {target: [base] for target, base in baselines.items()}
-    for (_, _, target), part in parts.items():
-        masses[target] += (m for m in part.values() if m is not None)
-    den = lcm(*(p.denominator for ms in masses.values() for m in ms for p in m.values()))
-    # Every outcome key of a target's parts and baseline, sorted; a key that
-    # neither side of one comparison gives has gap 0, which never wins.
-    order = {target: sorted(set().union(*ms)) for target, ms in masses.items()}
-
-    def scaled(target: str, m: dict | None) -> tuple[int, ...] | None:
-        """A part's or baseline's masses as numerators over den, in the target's key order."""
-        if m is None:
-            return None
-        return tuple(m[key].numerator * (den // m[key].denominator) if key in m else 0 for key in order[target])
-
-    vectors = {index: {k: scaled(index[2], m) for k, m in part.items()} for index, part in parts.items()}
-    base_vectors = {target: scaled(target, base) for target, base in baselines.items()}
-
-    best = SignallingReport(False, Fraction(0), None, None, None, None, None)
-    best_gap = 0  # over den
-    for strategy in strategies:
-        if strategy.first in blocked:
+    best, best_rank = SignallingReport(False, Fraction(0), None, None, None, None, None), None
+    for f, first in enumerate(alice_targets):
+        if first in blocked:
             continue
-        for bob_target in bob_targets:
-            chosen = [vectors[strategy.first, follow, bob_target][k] for k, follow in strategy.branches]
-            if None in chosen:
+        for t, bob_target in enumerate(bob_targets):
+            # Per first outcome, the realizable (follow-up index, masses) in follow-up order.
+            options = [
+                [(j, m) for j, follow in enumerate(follows) if (m := parts[first, follow, bob_target][k]) is not None]
+                for k in keys[first]
+            ]
+            if not all(options):
                 continue
-            for key, b, s in zip(order[bob_target], base_vectors[bob_target], map(sum, zip(*chosen))):
-                if abs(s - b) > best_gap:
-                    best_gap = abs(s - b)
-                    best = SignallingReport(
-                        True, Fraction(best_gap, den), strategy, bob_target, key, Fraction(b, den), Fraction(s, den)
-                    )
+            base = baselines[bob_target]
+            for bob_key in sorted(set(base).union(*(m for choices in options for _, m in choices))):
+                b = base.get(bob_key, Fraction(0))
+                for pick in (max, min):  # each returns the earliest of tied follow-ups
+                    picks = [pick(choices, key=lambda choice: choice[1].get(bob_key, 0)) for choices in options]
+                    s = sum((m.get(bob_key, 0) for _, m in picks), Fraction(0))
+                    rank = (-abs(s - b), f, tuple(j for j, _ in picks), t, bob_key)
+                    if s != b and (best_rank is None or rank < best_rank):
+                        best_rank = rank
+                        strategy = AliceStrategy(first, tuple(zip(keys[first], (follows[j] for j, _ in picks))))
+                        best = SignallingReport(True, abs(s - b), strategy, bob_target, bob_key, b, s)
     return best
 
 

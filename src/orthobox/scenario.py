@@ -176,10 +176,3 @@ def load_scenario_file(path: str | Path) -> tuple[OrthoScenario, MarginalVector 
         marginals = MarginalVector(values)
         marginals.validate_for(scenario)
     return scenario, marginals
-
-
-def specker_triple(marginal: Fraction = Fraction(1, 2)) -> tuple[OrthoScenario, MarginalVector]:
-    """The three-box scenario: all pairs orthogonal, no joint triple."""
-    scenario = OrthoScenario.from_sets("ABC", [["A", "B"], ["B", "C"], ["C", "A"]])
-    marginals = MarginalVector({p: marginal for p in "ABC"})
-    return scenario, marginals

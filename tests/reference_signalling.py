@@ -1,5 +1,6 @@
 """The per-strategy signalling search that ``protocols.detect_signalling``
-replaced, kept as the differential reference.
+replaced, kept as the differential reference, with the strategy space it
+scores.
 
 Every depth-two strategy is enumerated once per Bob target, as the whole
 plan (Alice's strategy, then Bob's query), through ``bob_marginal``; its
@@ -9,9 +10,21 @@ replaces the best so far.
 """
 
 from fractions import Fraction
+from itertools import product
 
-from orthobox.models import BOB, InconsistentHistory
-from orthobox.protocols import SignallingReport, bob_marginal, enumerate_strategies
+from orthobox.models import ALICE, BOB, InconsistentHistory
+from orthobox.protocols import AliceStrategy, SignallingReport, bob_marginal, first_outcomes
+
+
+def enumerate_strategies(model) -> list[AliceStrategy]:
+    """All depth-two adaptive strategies over Alice's admissible queries."""
+    targets = model.admissible_targets(ALICE)
+    strategies = []
+    for first in targets:
+        keys = first_outcomes(model, ALICE, first)
+        for choices in product((None,) + tuple(targets), repeat=len(keys)):
+            strategies.append(AliceStrategy(first, tuple(zip(keys, choices))))
+    return strategies
 
 
 def detect_signalling(model) -> SignallingReport:

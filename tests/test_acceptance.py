@@ -47,9 +47,10 @@ from orthobox.quantumref import (
     random_projector_pair,
 )
 from orthobox.rng import SplitMix64
-from orthobox.scenario import orthogonality_graph, specker_triple
+from orthobox.scenario import orthogonality_graph
 from orthobox.theorem import TripleMarginals, signalling_gap, worst_case_params
 from reference_theorem import nosig_constraint_residual, valid_grid
+from test_scenario import specker_triple
 
 
 def verdict(number: int, ok: bool, summary: str):

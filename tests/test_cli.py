@@ -152,6 +152,24 @@ class TestSimulate:
         assert code == 0
         assert "(2 branches, 2 distinct outcomes)" in out
 
+    @staticmethod
+    def nested_plan(path, levels):
+        """``alice A`` under ``on full:`` ``levels`` times, two indents a level."""
+        lines = [f"{'    ' * level}alice A\n{'    ' * level}  on full:\n" for level in range(levels)]
+        path.write_text("".join(lines) + "    " * levels + "alice A\n")
+        return str(path)
+
+    def test_nested_plan_enumerates(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "simulate", "lsw", "--plan", self.nested_plan(tmp_path / "deep.plan", 300))
+        assert code == 0
+        assert "(2 branches, 2 distinct outcomes)" in out
+
+    def test_too_deeply_nested_plan_is_input_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "simulate", "lsw", "--plan", self.nested_plan(tmp_path / "deep.plan", 1200))
+        assert code == 2
+        assert out == ""
+        assert err == "error: deep.plan: plan nests too deeply\n"
+
     def test_inadmissible_plan_is_input_error(self, capsys, tmp_path):
         plan = tmp_path / "bad.plan"
         plan.write_text("alice A\n")

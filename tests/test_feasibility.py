@@ -21,7 +21,8 @@ from orthobox.behavior import CertificateError, admissible_assignments, check_ex
 from orthobox.cli import main
 from orthobox.linprog import feasible_combination
 from orthobox.rng import SplitMix64
-from orthobox.scenario import MarginalVector, cliques, orthogonality_graph, specker_triple
+from orthobox.scenario import MarginalVector, cliques, orthogonality_graph
+from test_scenario import specker_triple
 
 
 def solve_square(rows, rhs):

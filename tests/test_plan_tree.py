@@ -5,6 +5,7 @@ draws, and the same errors at the same trial, on random depth-4 plans that
 include forbidden branches, inadmissible steps and unknown branch keys."""
 
 import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -177,3 +178,24 @@ class TestTree:
         assert all(len(sample_history(model, plan, rng).steps) == 2 for _ in range(100))
         with pytest.raises(InadmissibleQuery, match="bob C has no outcome 'ful'"):
             enumerate_histories(model, plan)
+
+    def test_long_sequential_plan_memory_is_linear(self):
+        # A node shares its pending steps and its trail with its parent:
+        # copying them per node made 3,000 steps peak above 100 MB.
+        plan = parse_plan("alice A\n" * 3000)
+        runs = {
+            "enumerate": lambda model: enumerate_histories(model, plan),
+            "compile and sample": lambda model: [
+                compile_plan(model, plan).sample(SplitMix64(seed)).history for seed in range(20)
+            ],
+        }
+        for name, run in runs.items():
+            model = make_model("lsw")
+            tracemalloc.start()
+            try:
+                histories = run(model)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert {len(history.steps) for history in histories} == {3000}
+            assert peak < 10 * 2**20, name

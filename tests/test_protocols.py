@@ -14,7 +14,6 @@ from orthobox.protocols import (
     assumption_report,
     bob_marginal,
     detect_signalling,
-    enumerate_strategies,
     first_outcomes,
     realize_pr_box,
     simulate_fable,
@@ -24,6 +23,7 @@ from orthobox.protocols import _interleavings
 from orthobox.protocols import test_assumption_a as assumption_a
 from orthobox.protocols import test_assumption_b as assumption_b
 from orthobox.protocols import test_assumption_c as assumption_c
+from reference_signalling import enumerate_strategies
 
 FABLE_FORCE_FULL = AliceStrategy("C", (("full", "B"), ("empty", "A")))
 FABLE_FORCE_EMPTY = AliceStrategy("C", (("full", "A"), ("empty", "B")))

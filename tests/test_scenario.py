@@ -1,10 +1,12 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import orthobox
 from orthobox.scenario import (
     MarginalVector,
     OrthoScenario,
@@ -13,10 +15,15 @@ from orthobox.scenario import (
     find_all_minimal_non_specker,
     load_scenario_file,
     orthogonality_graph,
-    specker_triple,
 )
 
 TRIANGLE_SETS = [["A", "B"], ["B", "C"], ["C", "A"]]
+
+
+def specker_triple():
+    """The bundled scenario ``check specker_triple`` loads: three boxes, any
+    two orthogonal, no joint triple, every marginal 1/2."""
+    return load_scenario_file(Path(orthobox.__file__).parent / "data" / "scenarios" / "specker_triple.json")
 
 
 def five_set_scenario():

@@ -1,8 +1,10 @@
 """The signalling search against the per-strategy loop it replaced
 (``reference_signalling.py``): the whole ``SignallingReport`` (verdict,
 gap, strategy, Bob target, outcome, baseline and shifted mass) must be
-equal on every bundled model and flavor, on random seer marginals, and on
-stub models whose forbidden branches skip some strategies and not others."""
+equal on every bundled model and flavor, on random seer marginals, on
+stub models whose forbidden branches skip some strategies and not others,
+and on one whose tied follow-ups and tied gaps leave only the tie-break to
+choose the winner."""
 
 from fractions import Fraction
 from itertools import product
@@ -60,6 +62,38 @@ class CountingBob(Model):
         return branches
 
 
+class SteeredBob(Model):
+    """Stub model: every box a fair coin, except Bob's box A once Alice has
+    read her first box full and queried again: it is then full with
+    probability 2/3 if her second query was A, and 1/3 if it was B or BC.
+    So under her first outcome "full" the follow-ups B and BC tie, and the
+    best upward and downward shifts of Bob's A are both 1/12.  The state is
+    (Alice's query count, her first box's value, her second target)."""
+
+    name = "stub"
+
+    def initial_states(self):
+        return [((0, None, None), Fraction(1))]
+
+    def step(self, state, query):
+        count, first, second = state
+        full = Fraction(1, 2)
+        if query.side != ALICE and first:
+            full = {"A": Fraction(2, 3), "B": Fraction(1, 3), "BC": Fraction(1, 3)}.get(second, full)
+        branches = []
+        for values in product((True, False), repeat=len(query.boxes)):
+            p = Fraction(1)
+            for box, value in zip(query.boxes, values):
+                q = full if box == "A" else Fraction(1, 2)
+                p *= q if value else 1 - q
+            if query.side == ALICE:
+                after = (count + 1, values[0] if first is None else first, query.target if count == 1 else second)
+            else:
+                after = state
+            branches.append((tuple(zip(query.boxes, values)), after, p))
+        return branches
+
+
 def follow_up_blocked_after_full(state, query):
     count, _, first = state
     return count == 1 and first
@@ -78,6 +112,7 @@ STUBS = {
     "forbidden after two queries": lambda: narrowed(ForbiddenAfter(2)),
     "always full": lambda: narrowed(AlwaysFull()),
     "first query coins": lambda: narrowed(FirstQueryCoins()),
+    "tied follow-ups and tied directions": lambda: narrowed(SteeredBob()),
 }
 
 BUNDLED = [("seer", "mirror"), ("lsw", "mirror")] + [("firefly", flavor) for flavor in FLAVORS]
@@ -122,6 +157,18 @@ def test_stubs_reach_the_skips():
     report = detect_signalling(STUBS["first query forbidden from one prior state"]())
     assert report.signalling and "A" not in report.strategy.first
     assert not detect_signalling(ForbiddenAfter(1)).signalling
+
+
+def test_ties_go_to_the_earliest_strategy():
+    # Under "empty" every follow-up ties, and so do B and BC under "full";
+    # A under "full" moves Bob's "empty" down by 1/12 and his "full" up by
+    # 1/12, and B moves them the other way.  The earliest of these wins: no
+    # follow-up after "empty", A after "full", and Bob's first key.
+    report = detect_signalling(STUBS["tied follow-ups and tied directions"]())
+    assert report.strategy.describe() == "alice A; on full: alice A"
+    assert (report.bob_target, report.outcome, report.baseline, report.shifted) == (
+        "A", "empty", Fraction(1, 2), Fraction(5, 12)
+    )
 
 
 def test_forbidden_baseline_same_error():
