@@ -12,7 +12,7 @@ mapping to +1 at module boundaries.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -35,8 +35,7 @@ class CertificateError(RuntimeError):
     """A feasibility verdict whose own certificate does not hold (a solver fault)."""
 
 
-@dataclass(frozen=True)
-class BehaviorTable:
+class BehaviorTable(namedtuple("BehaviorTable", "settings outcomes table")):
     """Conditional outcome distributions for a two-party box.
 
     ``table[settings][outcomes]`` is the exact probability of the joint
@@ -46,16 +45,19 @@ class BehaviorTable:
     outcomes and nonzero entries compare and hash equal.
     """
 
-    settings: tuple[tuple[Setting, ...], ...]
-    outcomes: tuple[tuple[Outcome, ...], ...]
-    table: Mapping[tuple[Setting, ...], Mapping[tuple[Outcome, ...], Fraction]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.settings) != 2 or len(self.outcomes) != 2:
+    def __new__(
+        cls,
+        settings: tuple[tuple[Setting, ...], ...],
+        outcomes: tuple[tuple[Outcome, ...], ...],
+        table: Mapping[tuple[Setting, ...], Mapping[tuple[Outcome, ...], Fraction]],
+    ):
+        if len(settings) != 2 or len(outcomes) != 2:
             raise BehaviorError("need settings and outcomes for exactly 2 parties")
         frozen: dict[tuple[Setting, ...], dict[tuple[Outcome, ...], Fraction]] = {}
-        for combo in product(*self.settings):
-            dist = self.table.get(combo)
+        for combo in product(*settings):
+            dist = table.get(combo)
             if dist is None:
                 raise BehaviorError(f"missing distribution for settings {combo}")
             clean = {}
@@ -63,7 +65,7 @@ class BehaviorTable:
                 if len(outs) != 2:
                     raise BehaviorError(f"outcome {outs!r} for {combo} needs one entry per party")
                 for party, o in enumerate(outs):
-                    if o not in self.outcomes[party]:
+                    if o not in outcomes[party]:
                         raise BehaviorError(f"unknown outcome {o!r} for party {party}")
                 p = check_probability(Fraction(p), f"p{outs}|{combo}")
                 if p != 0:
@@ -72,7 +74,7 @@ class BehaviorTable:
             if total != 1:
                 raise BehaviorError(f"distribution for {combo} sums to {format_rational(total)}, not 1")
             frozen[combo] = clean
-        object.__setattr__(self, "table", frozen)
+        return super().__new__(cls, settings, outcomes, frozen)
 
     def __hash__(self) -> int:
         entries = frozenset((combo, frozenset(dist.items())) for combo, dist in self.table.items())

@@ -25,7 +25,7 @@ Distinct sessions are independent.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -61,17 +61,17 @@ _SPELLINGS = {**{t: t for t in TARGETS}, **{p[::-1]: p for p in PAIRS}}
 _CONTENT_KEYS = {n: tuple(map(",".join, product(("full", "empty"), repeat=n))) for n in (1, 2)}
 
 
-@dataclass(frozen=True)
-class Query:
-    side: str
-    target: str
+class Query(namedtuple("Query", "side target")):
+    """One side's measurement of a box or a pair, its pair spelled in canonical order."""
 
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise InadmissibleQuery(f"unknown side {self.side!r}")
-        if self.target not in _SPELLINGS:
-            raise InadmissibleQuery(f"unknown target {self.target!r}")
-        object.__setattr__(self, "target", _SPELLINGS[self.target])
+    __slots__ = ()
+
+    def __new__(cls, side: str, target: str):
+        if side not in SIDES:
+            raise InadmissibleQuery(f"unknown side {side!r}")
+        if target not in _SPELLINGS:
+            raise InadmissibleQuery(f"unknown target {target!r}")
+        return super().__new__(cls, side, _SPELLINGS[target])
 
     @property
     def boxes(self) -> tuple[str, ...]:
@@ -209,20 +209,17 @@ class Session:
 # ---------------------------------------------------------------------------
 # Query plans: ordered steps, optionally branching on an observed outcome.
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(namedtuple("PlanStep", "side target branches query")):
     """One query of a plan, with follow-up steps per outcome key; building it
     validates the query (kept as ``query``) and the keys' uniqueness once."""
 
-    side: str
-    target: str
-    branches: tuple[tuple[str, tuple["PlanStep", ...]], ...] = ()
-    query: Query = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "query", Query(self.side, self.target))
-        if len(dict(self.branches)) < len(self.branches):
-            raise InadmissibleQuery(f"duplicate branch key under {self.side} {self.target}")
+    def __new__(cls, side: str, target: str, branches: tuple[tuple[str, tuple[PlanStep, ...]], ...] = ()):
+        query = Query(side, target)
+        if len(dict(branches)) < len(branches):
+            raise InadmissibleQuery(f"duplicate branch key under {side} {target}")
+        return super().__new__(cls, side, target, branches, query)
 
     def substeps(self, key: str) -> tuple["PlanStep", ...]:
         for k, steps in self.branches:
@@ -306,8 +303,7 @@ def load_plan(path: str | Path) -> Plan:
     return parse_plan(path.read_text(), source=path.name)
 
 
-@dataclass(frozen=True)
-class History:
+class History(NamedTuple):
     """One complete branch of a plan: per-step outcomes and its exact probability.
 
     ``forbidden`` marks branches where a query had no consistent answer; the

@@ -36,8 +36,8 @@ the partner firefly is dragged along:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .base import InadmissibleQuery, Model, Outcome, PAIRS, Query
 
@@ -68,8 +68,7 @@ def other_side(corner: str, side: str) -> str:
     return candidates[0]
 
 
-@dataclass(frozen=True)
-class FireflyState:
+class FireflyState(NamedTuple):
     alice: Half
     bob: Half
     measured: bool = False

@@ -16,14 +16,13 @@ touches the other side's vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .base import BOXES, Model, Query
 
 
-@dataclass(frozen=True)
-class LswState:
+class LswState(NamedTuple):
     # None until the first measurement collapses both sides.
     vectors: tuple[tuple[bool, bool, bool], tuple[bool, bool, bool]] | None
 

@@ -18,15 +18,13 @@ outcomes could not have coexisted with this query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .base import BOXES, InconsistentHistory, Model, PAIRS, Query
 
 
-@dataclass(frozen=True)
-class SeerState:
+class SeerState(NamedTuple):
     # Box contents in BOXES order, shared across sides; None until committed.
     contents: tuple[bool | None, bool | None, bool | None]
     # Distinct boxes opened so far on each side, in first-opened order.

@@ -25,7 +25,7 @@ an ``InconsistentHistory`` naming the plan.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Hashable, NamedTuple, Sequence
@@ -50,18 +50,15 @@ from .models import (
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class AliceStrategy:
+class AliceStrategy(namedtuple("AliceStrategy", "first branches plan")):
     """First query plus a follow-up query per observed outcome (or none);
     its one-step plan is built once, as ``plan``."""
 
-    first: str
-    branches: tuple[tuple[str, str | None], ...] = ()
-    plan: tuple[PlanStep, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        branch_steps = tuple((key, (PlanStep(ALICE, target),)) for key, target in self.branches if target)
-        object.__setattr__(self, "plan", (PlanStep(ALICE, self.first, branch_steps),))
+    def __new__(cls, first: str, branches: tuple[tuple[str, str | None], ...] = ()):
+        branch_steps = tuple((key, (PlanStep(ALICE, target),)) for key, target in branches if target)
+        return super().__new__(cls, first, branches, (PlanStep(ALICE, first, branch_steps),))
 
     def describe(self) -> str:
         parts = [f"alice {self.first}"]
@@ -212,8 +209,7 @@ def detect_signalling(model: Model) -> SignallingReport:
 # Assumption battery
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     claim: str
     plan: tuple[PlanStep, ...] = ()
     detail: str = ""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import importlib.util
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 
@@ -61,18 +60,14 @@ def projector_deviation(p: np.ndarray) -> float:
     return max(_max_entry(p @ p - p), _max_entry(p - p.conj().T))
 
 
-@dataclass(frozen=True)
 class ProjectorPair:
     """A two-valued observable split into its +1 and -1 eigenprojectors."""
 
-    plus: np.ndarray
-    minus: np.ndarray
+    __slots__ = ("plus", "minus")
 
-    def __post_init__(self):
-        plus = np.asarray(self.plus, dtype=complex)
-        minus = np.asarray(self.minus, dtype=complex)
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
+    def __init__(self, plus: np.ndarray, minus: np.ndarray):
+        self.plus = plus = np.asarray(plus, dtype=complex)
+        self.minus = minus = np.asarray(minus, dtype=complex)
         if plus.shape != minus.shape or plus.ndim != 2 or plus.shape[0] != plus.shape[1]:
             raise QuantumRefError("projector pair needs two square matrices of equal size")
         deviation = self.deviation()
@@ -151,15 +146,13 @@ def _canonical_directions() -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
 class SpinOneFrame:
     """Rank-1 projectors onto the spin-0 states of three orthogonal directions."""
 
-    vectors: np.ndarray  # rows are the three unit vectors, shape (3, 3)
+    __slots__ = ("vectors",)  # rows are the three unit vectors, shape (3, 3)
 
-    def __post_init__(self):
-        vectors = np.asarray(self.vectors, dtype=complex)
-        object.__setattr__(self, "vectors", vectors)
+    def __init__(self, vectors: np.ndarray):
+        self.vectors = vectors = np.asarray(vectors, dtype=complex)
         if vectors.shape != (3, 3):
             raise QuantumRefError("frame needs three vectors in dimension 3")
         gram = vectors.conj() @ vectors.T

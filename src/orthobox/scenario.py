@@ -15,11 +15,10 @@ the property tests in ``tests/test_scenario.py``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rational import check_probability, format_rational, parse_rational
 
@@ -32,8 +31,7 @@ class ScenarioError(ValueError):
     """Invalid scenario structure or marginals."""
 
 
-@dataclass(frozen=True)
-class OrthoScenario:
+class OrthoScenario(NamedTuple):
     """Propositions plus the family of jointly orthogonal subsets.
 
     ``maximal_joint_sets`` is the antichain of maximal members; singletons and
@@ -110,15 +108,13 @@ def find_all_minimal_non_specker(scenario: OrthoScenario) -> list[tuple[Label, .
     return found
 
 
-@dataclass(frozen=True)
 class MarginalVector:
     """Per-proposition probabilities, exact rationals in [0, 1]."""
 
-    values: Mapping[Label, Fraction]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        frozen = {k: check_probability(Fraction(v), f"marginal of {k}") for k, v in self.values.items()}
-        object.__setattr__(self, "values", frozen)
+    def __init__(self, values: Mapping[Label, Fraction]):
+        self.values = {k: check_probability(Fraction(v), f"marginal of {k}") for k, v in values.items()}
 
     def __getitem__(self, label: Label) -> Fraction:
         return self.values[label]

@@ -21,10 +21,10 @@ the four cases) is the test reference in ``tests/reference_theorem.py``.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .rational import format_decimal, format_rational
 
@@ -33,47 +33,41 @@ class TheoremError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TripleMarginals:
+class TripleMarginals(namedtuple("TripleMarginals", "p1 p2 p3")):
     """Marginals p1, p2, p3, each strictly inside (0, 1), pairwise sums at most 1."""
 
-    p1: Fraction
-    p2: Fraction
-    p3: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in zip(("p1", "p2", "p3"), self):
+    def __new__(cls, p1: Fraction, p2: Fraction, p3: Fraction):
+        values = []
+        for name, value in zip(cls._fields, (p1, p2, p3)):
             value = Fraction(value)
-            object.__setattr__(self, name, value)
             if not 0 < value < 1:
                 raise TheoremError(f"{name} = {format_rational(value)} not strictly inside (0, 1)")
-        for a, b, pair in ((self.p1, self.p2, "p1+p2"), (self.p1, self.p3, "p1+p3"), (self.p2, self.p3, "p2+p3")):
+            values.append(value)
+        p1, p2, p3 = values
+        for a, b, pair in ((p1, p2, "p1+p2"), (p1, p3, "p1+p3"), (p2, p3, "p2+p3")):
             if a + b > 1:
                 raise TheoremError(f"{pair} = {format_rational(a + b)} exceeds 1")
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter((self.p1, self.p2, self.p3))
+        return super().__new__(cls, *values)
 
 
-@dataclass(frozen=True)
-class AlphaBeta:
+class AlphaBeta(namedtuple("AlphaBeta", "alpha beta indices")):
     """Bob's conditional p(A_i=1 | A_j=0) split by Alice's A_k outcome.
 
     ``alpha`` applies when Alice found A_k = 1, ``beta`` when A_k = 0.
     """
 
-    alpha: Fraction
-    beta: Fraction
-    indices: tuple[int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
-        i, j, k = self.indices
+    def __new__(cls, alpha: Fraction, beta: Fraction, indices: tuple[int, int, int]):
+        alpha, beta = Fraction(alpha), Fraction(beta)
+        i, j, k = indices
         if sorted((i, j, k)) != [1, 2, 3]:
-            raise TheoremError(f"indices must be a permutation of (1, 2, 3), got {self.indices}")
-        if not (0 <= self.alpha <= 1 and 0 <= self.beta <= 1):
+            raise TheoremError(f"indices must be a permutation of (1, 2, 3), got {indices}")
+        if not (0 <= alpha <= 1 and 0 <= beta <= 1):
             raise TheoremError("alpha and beta must lie in [0, 1]")
+        return super().__new__(cls, alpha, beta, indices)
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)

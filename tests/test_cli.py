@@ -164,6 +164,13 @@ class TestSimulate:
         assert code == 0
         assert "(2 branches, 2 distinct outcomes)" in out
 
+    def test_plan_nested_700_levels_enumerates(self, capsys, tmp_path):
+        # Past the old limit of about 500 levels, set by hashing the plan in
+        # Python; only parsing still recurses once per level.
+        code, out, _ = run(capsys, "simulate", "lsw", "--plan", self.nested_plan(tmp_path / "deep.plan", 700))
+        assert code == 0
+        assert "(2 branches, 2 distinct outcomes)" in out
+
     def test_too_deeply_nested_plan_is_input_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "simulate", "lsw", "--plan", self.nested_plan(tmp_path / "deep.plan", 1200))
         assert code == 2
@@ -296,6 +303,11 @@ def modules_loaded(code: str, package: str) -> list[str]:
 
 def test_cli_import_leaves_networkx_out():
     assert modules_loaded("import orthobox.cli", "networkx") == []
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    assert modules_loaded("import orthobox.cli", "dataclasses") == []
+    assert modules_loaded("import orthobox.cli", "inspect") == []
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -32,6 +32,16 @@ class TestQuery:
         with pytest.raises(InadmissibleQuery):
             Query("carol", "AB")
 
+    def test_rejection_names_side_or_target(self):
+        with pytest.raises(InadmissibleQuery, match=r"^unknown side 'carol'$"):
+            Query("carol", "AB")
+        with pytest.raises(InadmissibleQuery, match=r"^unknown target 'AD'$"):
+            Query("alice", "AD")
+
+    def test_reversed_pair_is_the_same_query(self):
+        assert Query("alice", "BA") == Query("alice", "AB")
+        assert hash(Query("alice", "BA")) == hash(Query("alice", "AB"))
+
 
 class TestPlanParser:
     def test_blocks_and_inline_branches(self):
@@ -84,6 +94,10 @@ bob AB
             PlanStep("alice", "C", (("full", ()), ("full", ())))
         with pytest.raises(ValueError, match="plan:2: duplicate"):
             parse_plan("bob A\nalice C\n  on full: bob A\n  on full: bob B", source="plan")
+
+    def test_duplicate_branch_key_message(self):
+        with pytest.raises(InadmissibleQuery, match=r"^duplicate branch key under bob CB$"):
+            PlanStep("bob", "CB", (("full,empty", ()), ("empty,empty", ()), ("full,empty", ())))
 
 
 class TestEnumeration:

@@ -36,6 +36,11 @@ class TestProjectorPair:
         with pytest.raises(QuantumRefError, match="projector"):
             ProjectorPair(half, np.eye(3) - half)
 
+    @pytest.mark.parametrize("plus, minus", [(np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3)))])
+    def test_wrong_shape_rejected(self, plus, minus):
+        with pytest.raises(QuantumRefError, match=r"^projector pair needs two square matrices of equal size$"):
+            ProjectorPair(plus, minus)
+
     def test_non_summing_pair_rejected(self):
         p = np.diag([1.0, 0.0, 0.0])
         with pytest.raises(QuantumRefError):
@@ -96,6 +101,10 @@ class TestSpinOneFrame:
         bad = np.array([[1, 0, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
         with pytest.raises(QuantumRefError):
             SpinOneFrame(bad)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(QuantumRefError, match=r"^frame needs three vectors in dimension 3$"):
+            SpinOneFrame(np.eye(3)[:2])
 
 
 class TestLudersSequence:

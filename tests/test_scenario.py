@@ -249,6 +249,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             MarginalVector({"A": Fraction(5, 4)})
 
+    def test_marginal_range_message(self):
+        with pytest.raises(ValueError, match=r"^marginal of B -1/3 outside \[0, 1\]$"):
+            MarginalVector({"A": Fraction(1, 2), "B": Fraction(-1, 3)})
+        assert MarginalVector({"A": "1/2"})["A"] == Fraction(1, 2)
+
 
 class TestScenarioFiles:
     def test_round_trip(self, tmp_path):

@@ -79,6 +79,18 @@ class TestConstraintResidual:
         with pytest.raises(TheoremError):
             AlphaBeta(Fraction(0), Fraction(0), (1, 1, 3))
 
+    def test_validation_messages(self):
+        with pytest.raises(TheoremError, match=r"^indices must be a permutation of \(1, 2, 3\), got \(1, 1, 3\)$"):
+            AlphaBeta(Fraction(0), Fraction(0), (1, 1, 3))
+        for alpha, beta in ((Fraction(-1, 2), Fraction(0)), (Fraction(0), Fraction(3, 2))):
+            with pytest.raises(TheoremError, match=r"^alpha and beta must lie in \[0, 1\]$"):
+                AlphaBeta(alpha, beta, (1, 2, 3))
+
+    def test_values_become_fractions(self):
+        ab = AlphaBeta(0, "1/2", (1, 2, 3))
+        assert ab == AlphaBeta(Fraction(0), Fraction(1, 2), (1, 2, 3))
+        assert type(ab.alpha) is Fraction and type(ab.beta) is Fraction
+
 
 class TestCaseMarginals:
     def mirror(self, t):
@@ -168,6 +180,13 @@ class TestSignallingGap:
     def test_zero_marginal_rejected(self):
         with pytest.raises(TheoremError):
             TripleMarginals(Fraction(0), Fraction(1, 2), Fraction(1, 2))
+
+    def test_triple_validation_messages(self):
+        with pytest.raises(TheoremError, match=r"^p2 = 1 not strictly inside \(0, 1\)$"):
+            TripleMarginals(Fraction(1, 2), 1, "3/2")
+        with pytest.raises(TheoremError, match=r"^p1\+p3 = 6/5 exceeds 1$"):
+            TripleMarginals(Fraction(3, 5), Fraction(1, 5), Fraction(3, 5))
+        assert tuple(TripleMarginals("1/3", 0.5, Fraction(1, 4))) == (Fraction(1, 3), Fraction(1, 2), Fraction(1, 4))
 
     def test_matches_the_four_case_protocol(self):
         # Bob's p(A1=1) is p3 * 0 (case i/ii) plus (1 - p3) times case iv's
