@@ -76,11 +76,6 @@ class TestBehaviorTable:
         with pytest.raises(BehaviorError, match="one entry per party"):
             BehaviorTable(SETTINGS, OUTCOMES, table)
 
-    def test_short_outcome_message(self):
-        table = {combo: {(PLUS,): Fraction(1)} for combo in product(*SETTINGS)}
-        with pytest.raises(BehaviorError, match=r"^outcome \(1,\) for \('a', 'b'\) needs one entry per party$"):
-            BehaviorTable(SETTINGS, OUTCOMES, table)
-
     def test_marginals(self):
         box = product_box(Fraction(1, 4), Fraction(1, 2))
         assert box.marginal(0, ("a", "b")) == {PLUS: Fraction(1, 4), MINUS: Fraction(3, 4)}

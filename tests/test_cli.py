@@ -165,8 +165,7 @@ class TestSimulate:
         assert "(2 branches, 2 distinct outcomes)" in out
 
     def test_plan_nested_700_levels_enumerates(self, capsys, tmp_path):
-        # Past the old limit of about 500 levels, set by hashing the plan in
-        # Python; only parsing still recurses once per level.
+        # A plan hashes in C; only parsing recurses once per level (to about 990).
         code, out, _ = run(capsys, "simulate", "lsw", "--plan", self.nested_plan(tmp_path / "deep.plan", 700))
         assert code == 0
         assert "(2 branches, 2 distinct outcomes)" in out
