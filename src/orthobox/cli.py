@@ -5,7 +5,9 @@ classifies a scenario file, ``verify-theorem`` sweeps the signalling gap
 over a rational grid, ``simulate`` enumerates or samples a query plan
 against a model, ``fable`` runs the prophecy game, ``assumptions`` prints
 the per-model battery, ``pr-boxes`` reports box realizations, and
-``quantum-ref`` runs the matrix reference checks.
+``quantum-ref`` runs the matrix reference checks.  Only ``models``, ``rng``
+and ``rational`` load with this module; the other library modules are bound
+lazily, so each call runs only the modules its command uses.
 
 Exit codes: 0 success, 1 a check or assertion failed, 2 bad input.  Output
 is byte-identical for identical inputs and seeds; set ORTHOBOX_COLOR=1 for
@@ -15,6 +17,7 @@ ANSI colors (0 or unset keeps output plain).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import os
 import sys
 from collections import Counter
@@ -22,21 +25,9 @@ from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
-from . import quantumref
-from .behavior import (
-    CertificateError,
-    check_exclusivity,
-    chsh,
-    correlators_csv,
-    enumerate_pr_boxes,
-    is_pr_box,
-    joint_feasibility,
-    no_signalling_check,
-)
 from .models import (
     BranchMassError,
     FLAVORS,
-    InadmissibleQuery,
     InconsistentHistory,
     MODEL_NAMES,
     compile_plan,
@@ -46,30 +37,33 @@ from .models import (
     load_plan,
     make_model,
 )
-from .protocols import (
-    DEFAULT_PAIR_INTERPRETATION,
-    LSW_SINGLE_INTERPRETATION,
-    assumption_report,
-    realize_pr_box,
-    simulate_fable,
-    sweep_pr_interpretations,
-)
 from .rational import format_decimal, format_rational
 from .rng import SplitMix64
-from .scenario import (
-    ScenarioError,
-    find_all_minimal_non_specker,
-    load_scenario_file,
-    orthogonality_graph,
-)
-from .theorem import (
-    TheoremError,
-    TripleMarginals,
-    signalling_gap,
-    sweep_csv,
-    sweep_gap,
-    worst_case_params,
-)
+
+
+def _lazy(name: str):
+    """``orthobox.<name>``, registered now but run on its first attribute
+    read (the stdlib ``LazyLoader`` recipe), so each command runs only the
+    modules it uses; the module itself when it is already loaded."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+behavior = _lazy("behavior")
+linprog = _lazy("linprog")  # run by behavior; bound so that every library module is registered
+protocols = _lazy("protocols")
+quantumref = _lazy("quantumref")
+scenario = _lazy("scenario")
+theorem = _lazy("theorem")
+
 
 def _color(text: str, code: str) -> str:
     if os.environ.get("ORTHOBOX_COLOR") == "1":
@@ -106,12 +100,12 @@ def _output_file(path: str | None):
 
 def cmd_check(args) -> int:
     path = _resolve_input("scenarios", args.scenario, ".json")
-    scenario, marginals = load_scenario_file(path)
-    print(f"scenario: {path.stem} ({len(scenario.propositions)} propositions)")
-    graph = orthogonality_graph(scenario)
+    scen, marginals = scenario.load_scenario_file(path)
+    print(f"scenario: {path.stem} ({len(scen.propositions)} propositions)")
+    graph = scenario.orthogonality_graph(scen)
     print(f"orthogonality graph: {sum(map(len, graph.values())) // 2} edges")
     # Non-Specker exactly when some pairwise-orthogonal set is minimally non-joint.
-    minimal = find_all_minimal_non_specker(scenario)
+    minimal = scenario.find_all_minimal_non_specker(scen)
     specker = not minimal
     print(f"pairwise-implies-joint: {'YES' if specker else 'NO'}")
     # With marginals the verdict is about them; bare structure fails on its own.
@@ -123,9 +117,9 @@ def cmd_check(args) -> int:
             for extra in minimal[1:]:
                 print(f"  also minimal: {{{','.join(extra)}}}")
     if marginals is not None:
-        rendered = " ".join(f"{p}={format_rational(marginals[p])}" for p in scenario.propositions)
+        rendered = " ".join(f"{p}={format_rational(marginals[p])}" for p in scen.propositions)
         print(f"marginals: {rendered}")
-        excl = check_exclusivity(marginals, graph)
+        excl = behavior.check_exclusivity(marginals, graph)
         if excl.ok:
             print("exclusivity: " + _good("ok"))
         else:
@@ -134,7 +128,7 @@ def cmd_check(args) -> int:
                 "exclusivity: "
                 + _bad(f"violated by {{{','.join(excl.clique)}}} (sum {format_rational(excl.total)})")
             )
-        cert = joint_feasibility(graph, marginals)
+        cert = behavior.joint_feasibility(graph, marginals)
         if cert.feasible:
             print("joint distribution: " + _good("feasible"))
             if args.verbose:
@@ -159,7 +153,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    rows = sweep_gap(args.grid)
+    rows = theorem.sweep_gap(args.grid)
     with _output_file(args.csv) as csv_file:
         worst = min(rows, key=lambda r: (r.gap, r.p1, r.p2, r.p3))
         print(f"grid: denominator {args.grid}, {len(rows)} valid points")
@@ -169,14 +163,14 @@ def cmd_verify_theorem(args) -> int:
             + f" at (p1,p2,p3)=({format_rational(worst.p1)},{format_rational(worst.p2)},{format_rational(worst.p3)})"
         )
         for probe in (Fraction(1, 3), Fraction(1, 2)):
-            t = TripleMarginals(probe, probe, probe)
-            wc = worst_case_params(t)
+            t = theorem.TripleMarginals(probe, probe, probe)
+            wc = theorem.worst_case_params(t)
             print(
-                f"p={format_rational(probe)} each: gap {format_rational(signalling_gap(t))}"
+                f"p={format_rational(probe)} each: gap {format_rational(theorem.signalling_gap(t))}"
                 f" (alpha {format_rational(wc.alpha)}, beta {format_rational(wc.beta)})"
             )
         if args.csv:
-            csv_file.write(sweep_csv(rows, exact=args.exact))
+            csv_file.write(theorem.sweep_csv(rows, exact=args.exact))
             print(f"wrote {len(rows)} rows to {args.csv}")
         if all(row.gap > 0 for row in rows):
             print(_good("signalling gap positive on the whole grid"))
@@ -220,7 +214,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fable(args) -> int:
-    stats = simulate_fable(args.trials, seed=args.seed, keep_rows=bool(args.per_trial))
+    stats = protocols.simulate_fable(args.trials, seed=args.seed, keep_rows=bool(args.per_trial))
     with _output_file(args.per_trial) as rows_file:
         print(f"trials: {stats.trials}")
         print(f"daniel success rate: {format_decimal(stats.daniel_success)}")
@@ -249,7 +243,7 @@ def cmd_assumptions(args) -> int:
     reports = []
     for model in _battery_models(args.model, args.flavor):
         label = model.name if model.name != "firefly" else f"firefly[{model.flavor}]"
-        reports.append((label, assumption_report(model)))
+        reports.append((label, protocols.assumption_report(model)))
 
     if args.format == "csv":
         lines = ["model,assumption,verdict,witness_plan"]
@@ -274,13 +268,13 @@ def cmd_assumptions(args) -> int:
 
 def cmd_pr_boxes(args) -> int:
     if args.model is None:
-        boxes = enumerate_pr_boxes()
+        boxes = behavior.enumerate_pr_boxes()
         print(f"canonical boxes: {len(boxes)}")
         distinct = set(boxes)
         print(f"distinct: {len(distinct)}")
         for i, box in enumerate(boxes):
-            result = chsh(box)
-            ns = no_signalling_check(box)
+            result = behavior.chsh(box)
+            ns = behavior.no_signalling_check(box)
             anti = sum(1 for combo in box.table if box.correlator(combo) == -1)
             print(
                 f"box {i}: S = {format_rational(result.value)},"
@@ -290,20 +284,22 @@ def cmd_pr_boxes(args) -> int:
         return 0
 
     model = make_model(args.model, flavor=args.flavor)
-    interpretation = LSW_SINGLE_INTERPRETATION if args.model == "lsw" else DEFAULT_PAIR_INTERPRETATION
-    box = realize_pr_box(model, interpretation)
-    result = chsh(box)
-    ns = no_signalling_check(box)
+    interpretation = (
+        protocols.LSW_SINGLE_INTERPRETATION if args.model == "lsw" else protocols.DEFAULT_PAIR_INTERPRETATION
+    )
+    box = protocols.realize_pr_box(model, interpretation)
+    result = behavior.chsh(box)
+    ns = behavior.no_signalling_check(box)
     print(f"model: {args.model}")
     print("correlators:")
-    sys.stdout.write(correlators_csv(box))
+    sys.stdout.write(behavior.correlators_csv(box))
     print(f"S = {format_rational(result.value)} with signs {result.signs}")
     print(f"no-signalling: {'yes' if ns.ok else 'NO'}")
-    print(f"matches a canonical box: {'yes' if is_pr_box(box) else 'NO'}")
+    print(f"matches a canonical box: {'yes' if behavior.is_pr_box(box) else 'NO'}")
     if args.model in ("seer", "firefly"):
-        sweep = sweep_pr_interpretations(model)
+        sweep = protocols.sweep_pr_interpretations(model)
         seen = Counter(swept for _, swept in sweep)
-        all_pr = all(is_pr_box(b) for _, b in sweep)
+        all_pr = all(behavior.is_pr_box(b) for _, b in sweep)
         print(
             f"sweep over {len(sweep)} interpretations: {len(seen)} distinct boxes, "
             f"multiplicities {sorted(seen.values())}, all canonical: {'yes' if all_pr else 'NO'}"
@@ -431,17 +427,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, TheoremError, InadmissibleQuery, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InconsistentHistory as exc:
         print(f"inconsistent history: {exc}", file=sys.stderr)
         return 1
-    except CertificateError as exc:
-        print(f"certificate check failed: {exc}", file=sys.stderr)
-        return 1
     except BranchMassError as exc:
         print(f"model fault: {exc}", file=sys.stderr)
+        return 1
+    except behavior.CertificateError as exc:
+        print(f"certificate check failed: {exc}", file=sys.stderr)
         return 1
 
 

@@ -14,28 +14,9 @@ norm; it is a reference check, not part of the exact-rational core.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from typing import NamedTuple, Sequence
 
-
-def _lazy_numpy():
-    """numpy, imported on first attribute access (the stdlib ``LazyLoader``
-    recipe), so importing this module does not pay for numpy; numpy itself
-    when it is already loaded."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-np = _lazy_numpy()
+import numpy as np
 
 TOLERANCE = 1e-12
 # Labels of a spin-one frame's three directions, in vector order.

@@ -291,13 +291,29 @@ class TestHelpAndColor:
         assert "\x1b[" not in plain
 
 
-def modules_loaded(code: str, package: str) -> list[str]:
-    """``package`` and its submodules in ``sys.modules`` after a fresh interpreter runs ``code``."""
+def probe(code: str, expression: str):
+    """The value of ``expression`` after a fresh interpreter runs ``code``."""
     src = str(Path(orthobox.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    script = f"import sys\n{code}\nprint(repr({expression}))"
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     return ast.literal_eval(result.stdout.strip().splitlines()[-1])
+
+
+def modules_loaded(code: str, package: str) -> list[str]:
+    """``package`` and its submodules in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    return probe(code, f"sorted(m for m in sys.modules if m.split('.')[0] == {package!r})")
+
+
+def modules_not_run(code: str) -> list[str]:
+    """The orthobox modules registered but not yet run after a fresh
+    interpreter runs ``code``: ``type()`` reads no module attribute, so it
+    leaves a lazily bound module unloaded."""
+    return probe(
+        code,
+        "sorted(m for m, mod in sys.modules.items()"
+        " if m.startswith('orthobox.') and type(mod).__name__ == '_LazyModule')",
+    )
 
 
 def test_cli_import_leaves_networkx_out():
@@ -310,11 +326,36 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # quantumref binds a lazy numpy module; only its first use imports numpy.
-    assert modules_loaded("import orthobox.cli", "numpy") == ["numpy"]
-    assert modules_loaded("import orthobox.cli; orthobox.cli.main(['check', 'specker_triple'])", "numpy") == ["numpy"]
+    # quantumref imports numpy, and only quantum-ref runs quantumref.
+    assert modules_loaded("import orthobox.cli", "numpy") == []
+    assert modules_loaded("import orthobox.cli; orthobox.cli.main(['check', 'specker_triple'])", "numpy") == []
     used = modules_loaded("import orthobox.cli; orthobox.cli.main(['quantum-ref', '--trials', '1'])", "numpy")
     assert "numpy.linalg" in used
+
+
+LAZY = ["orthobox.behavior", "orthobox.linprog", "orthobox.protocols", "orthobox.quantumref", "orthobox.scenario", "orthobox.theorem"]
+
+
+@pytest.mark.parametrize(
+    "argv, not_run",
+    [
+        (None, LAZY),
+        (["check", "specker_triple"], ["orthobox.protocols", "orthobox.quantumref", "orthobox.theorem"]),
+        (["verify-theorem", "--grid", "6"], [m for m in LAZY if m != "orthobox.theorem"]),
+        (["simulate", "seer", "--plan", "fable", "--trials", "10"], LAZY),
+    ],
+    ids=["import", "check", "verify-theorem", "simulate"],
+)
+def test_each_command_runs_only_its_modules(argv, not_run):
+    code = "import orthobox.cli" + (f"; orthobox.cli.main({argv!r})" if argv else "")
+    assert modules_not_run(code) == not_run
+
+
+def test_cli_binds_a_module_loaded_before_it():
+    # A second behavior module would have its own CertificateError, which the
+    # CLI's handler would not catch.
+    code = "import orthobox.behavior as first; import orthobox.cli"
+    assert probe(code, "orthobox.cli.behavior is first is sys.modules['orthobox.behavior'] is orthobox.behavior")
 
 
 def test_library_modules_load_only_their_imports():
@@ -327,9 +368,8 @@ def test_library_modules_load_only_their_imports():
 
 def test_cli_import_loads_every_traced_module():
     # The benchmark's tracer instruments the MODULE_LAYERS modules only if they
-    # are loaded once the CLI is imported.  Making the CLI import lazily
-    # (ROADMAP item 2) must change this guard together with the benchmark
-    # (ROADMAP item 1).
+    # are in sys.modules once the CLI is imported.  The CLI binds them lazily,
+    # so they are registered there without having run.
     tracing = ast.parse((Path(__file__).parents[1] / "benchmarks" / "tracing.py").read_text())
     layers = next(
         ast.literal_eval(node.value) for node in tracing.body
