@@ -74,15 +74,14 @@ def feasible_combination(
         # Smallest ratio beta_i / d_i, ties by smallest basis label.
         r = None
         for i in range(m):
-            if d[i] > 0 and (
-                r is None
-                or (beta[i] * d[r], basis[i]) < (beta[r] * d[i], basis[r])
-            ):
+            if d[i] > 0 and (r is None or (beta[i] * d[r], basis[i]) < (beta[r] * d[i], basis[r])):
                 r = i
         if r is None:
             raise RuntimeError("phase-1 objective unbounded; cannot happen")
         p = d[r]
         pivot, pivot_beta = inverse[r], beta[r]
+        # Every row but the pivot row scales by p / D, so one with d_i = 0
+        # changes too unless p == D; the divisions by D are exact.
         for i in range(m):
             f = d[i]
             if i != r and (f or p != det):

@@ -351,11 +351,13 @@ def test_each_command_runs_only_its_modules(argv, not_run):
     assert modules_not_run(code) == not_run
 
 
-def test_cli_binds_a_module_loaded_before_it():
+def test_lazy_binding_keeps_one_module_object():
     # A second behavior module would have its own CertificateError, which the
     # CLI's handler would not catch.
     code = "import orthobox.behavior as first; import orthobox.cli"
     assert probe(code, "orthobox.cli.behavior is first is sys.modules['orthobox.behavior'] is orthobox.behavior")
+    # Imported the other way round, the package attribute is set as a plain import sets it.
+    assert probe("import orthobox.cli, orthobox.behavior", "orthobox.behavior is orthobox.cli.behavior")
 
 
 def test_library_modules_load_only_their_imports():
