@@ -9,7 +9,10 @@ firefly boxes, collapse boxes) that each give up exactly one of the three
 assumptions.  The box realizations built from the models saturate the CHSH
 expression at 4.
 
-The package root exports nothing: import from the modules.
+The package root exports only the model names, which the CLI's parser
+reads without loading the models: import everything else from the modules.
 """
 
 __version__ = "0.1.0"
+
+MODEL_NAMES = ("seer", "firefly", "lsw")

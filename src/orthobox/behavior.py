@@ -18,9 +18,8 @@ from itertools import product
 from math import lcm
 from typing import Hashable, Mapping, NamedTuple
 
-from .linprog import feasible_combination
+from . import linprog, scenario
 from .rational import check_probability, format_rational
-from .scenario import Graph, MarginalVector, cliques
 
 Outcome = Hashable
 Setting = str
@@ -97,14 +96,14 @@ class ExclusivityResult(NamedTuple):
     total: Fraction | None
 
 
-def check_exclusivity(marginals: MarginalVector, graph: Graph) -> ExclusivityResult:
+def check_exclusivity(marginals: scenario.MarginalVector, graph: scenario.Graph) -> ExclusivityResult:
     """Probabilities of pairwise orthogonal propositions must sum to at most 1.
 
     Checks every maximal clique (sums over sub-cliques are dominated); on
     failure reports the lexicographically first violating maximal clique.
     """
     violations = []
-    for clique in cliques(graph):
+    for clique in scenario.cliques(graph):
         total = sum((marginals[v] for v in clique), Fraction(0))
         # Maximal: no proposition is orthogonal to every member.
         if total > 1 and not any(all(v in graph[u] for v in clique) for u in graph):
@@ -124,14 +123,14 @@ class FeasibilityCertificate(NamedTuple):
     farkas: tuple[dict[str, Fraction], Fraction] | None
 
 
-def admissible_assignments(graph: Graph) -> list[frozenset]:
+def admissible_assignments(graph: scenario.Graph) -> list[frozenset]:
     """All 0/1 assignments with no two adjacent propositions true (independent
     sets, i.e. the cliques of the complement), by size and then labels."""
     complement = {v: {u for u in graph if u != v and u not in graph[v]} for v in graph}
-    return [frozenset(s) for s in sorted(cliques(complement), key=lambda s: (len(s), s))]
+    return [frozenset(s) for s in sorted(scenario.cliques(complement), key=lambda s: (len(s), s))]
 
 
-def joint_feasibility(graph: Graph, marginals: MarginalVector) -> FeasibilityCertificate:
+def joint_feasibility(graph: scenario.Graph, marginals: scenario.MarginalVector) -> FeasibilityCertificate:
     """Decide whether some distribution over admissible assignments has the given marginals.
 
     Exact rational phase-1 simplex with one row per proposition (sorted) and
@@ -150,7 +149,7 @@ def joint_feasibility(graph: Graph, marginals: MarginalVector) -> FeasibilityCer
     assignments = admissible_assignments(graph)
     columns = [tuple(i for i, v in enumerate(nodes) if v in s) + (len(nodes),) for s in assignments]
     target = tuple(marginals[v] for v in nodes) + (Fraction(1),)
-    solution, farkas = feasible_combination(columns, target)
+    solution, farkas = linprog.feasible_combination(columns, target)
     if farkas is None:
         witness = {assignments[j]: w for j, w in solution.items()}
         _check_witness(witness, nodes, marginals)
@@ -160,7 +159,7 @@ def joint_feasibility(graph: Graph, marginals: MarginalVector) -> FeasibilityCer
     return FeasibilityCertificate(False, None, (coeffs, farkas[-1]))
 
 
-def _check_witness(witness: dict[frozenset, Fraction], nodes: list[str], marginals: MarginalVector) -> None:
+def _check_witness(witness: dict[frozenset, Fraction], nodes: list[str], marginals: scenario.MarginalVector) -> None:
     if any(w < 0 for w in witness.values()) or sum(witness.values(), Fraction(0)) != 1:
         raise CertificateError("witness weights do not form a probability distribution")
     for v in nodes:
@@ -172,7 +171,7 @@ def _check_witness(witness: dict[frozenset, Fraction], nodes: list[str], margina
 
 
 def _check_functional(
-    coeffs: dict[str, Fraction], const: Fraction, assignments: list[frozenset], marginals: MarginalVector
+    coeffs: dict[str, Fraction], const: Fraction, assignments: list[frozenset], marginals: scenario.MarginalVector
 ) -> None:
     if sum((c * marginals[v] for v, c in coeffs.items()), const) <= 0:
         raise CertificateError("separating functional is not positive at the marginals")

@@ -5,9 +5,10 @@ classifies a scenario file, ``verify-theorem`` sweeps the signalling gap
 over a rational grid, ``simulate`` enumerates or samples a query plan
 against a model, ``fable`` runs the prophecy game, ``assumptions`` prints
 the per-model battery, ``pr-boxes`` reports box realizations, and
-``quantum-ref`` runs the matrix reference checks.  Only ``models``, ``rng``
-and ``rational`` load with this module; the other library modules are bound
-lazily, so each call runs only the modules its command uses.
+``quantum-ref`` runs the matrix reference checks.  Only ``rational`` loads
+with this module, and the parser's model names come from the package root;
+the other library modules are bound lazily, so each call runs only the
+modules its command uses.
 
 Exit codes: 0 success, 1 a check or assertion failed, 2 bad input.  Output
 is byte-identical for identical inputs and seeds; set ORTHOBOX_COLOR=1 for
@@ -25,20 +26,8 @@ from contextlib import nullcontext
 from fractions import Fraction
 from pathlib import Path
 
-from .models import (
-    BranchMassError,
-    FLAVORS,
-    InconsistentHistory,
-    MODEL_NAMES,
-    compile_plan,
-    enumerate_histories,
-    group_histories,
-    history_signature,
-    load_plan,
-    make_model,
-)
+from . import MODEL_NAMES
 from .rational import format_decimal, format_rational
-from .rng import SplitMix64
 
 
 def _lazy(name: str):
@@ -58,9 +47,11 @@ def _lazy(name: str):
 
 
 behavior = _lazy("behavior")
-linprog = _lazy("linprog")  # run by behavior; bound so that every library module is registered
+linprog = _lazy("linprog")  # run by behavior; bound so that behavior finds it lazy too
+models = _lazy("models")
 protocols = _lazy("protocols")
 quantumref = _lazy("quantumref")
+rng = _lazy("rng")
 scenario = _lazy("scenario")
 theorem = _lazy("theorem")
 
@@ -180,19 +171,19 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = make_model(args.model, flavor=args.flavor)
+    model = models.make_model(args.model, flavor=args.flavor)
     plan_path = _resolve_input("plans", args.plan, ".plan")
     try:  # parsing a plan recurses once per nesting level
-        plan = load_plan(plan_path)
+        plan = models.load_plan(plan_path)
     except RecursionError:
         raise ValueError(f"{plan_path.name}: plan nests too deeply") from None
     if not plan:
         raise ValueError(f"{plan_path.name}: plan has no steps")
-    tree = compile_plan(model, plan)  # sampling builds only the branches it draws
-    histories = enumerate_histories(model, plan)
-    grouped = group_histories(histories, lambda h: history_signature(h, model))
-    rng = SplitMix64(args.seed)
-    counts = Counter(tree.sample(rng).signature for _ in range(args.trials))
+    tree = models.compile_plan(model, plan)  # sampling builds only the branches it draws
+    histories = models.enumerate_histories(model, plan)
+    grouped = models.group_histories(histories, lambda h: models.history_signature(h, model))
+    source = rng.SplitMix64(args.seed)
+    counts = Counter(tree.sample(source).signature for _ in range(args.trials))
 
     print(f"model: {model.name}" + (f" ({args.flavor})" if args.model == "firefly" else ""))
     print(f"plan: {plan_path.stem} ({len(histories)} branches, {len(grouped)} distinct outcomes)")
@@ -233,10 +224,10 @@ def cmd_fable(args) -> int:
 
 def _battery_models(name: str, flavor: str):
     if name == "all":
-        return [make_model(model) for model in MODEL_NAMES]
+        return [models.make_model(model) for model in MODEL_NAMES]
     if name == "firefly-variants":
-        return [make_model("firefly", flavor=f) for f in FLAVORS]
-    return [make_model(name, flavor=flavor)]
+        return [models.make_model("firefly", flavor=f) for f in models.FLAVORS]
+    return [models.make_model(name, flavor=flavor)]
 
 
 def cmd_assumptions(args) -> int:
@@ -283,7 +274,7 @@ def cmd_pr_boxes(args) -> int:
             )
         return 0
 
-    model = make_model(args.model, flavor=args.flavor)
+    model = models.make_model(args.model, flavor=args.flavor)
     interpretation = (
         protocols.LSW_SINGLE_INTERPRETATION if args.model == "lsw" else protocols.DEFAULT_PAIR_INTERPRETATION
     )
@@ -313,13 +304,13 @@ def cmd_pr_boxes(args) -> int:
 
 def cmd_quantum_ref(args) -> int:
     with _output_file(args.csv) as csv_file:
-        rng = quantumref.seeded_generator(args.seed)
+        generator = quantumref.seeded_generator(args.seed)
         rows = []
 
         worst_povm = 0.0
         for _ in range(args.trials):
-            dim = int(rng.integers(2, 5))
-            triple = [quantumref.random_projector_pair(dim, rng) for _ in range(3)]
+            dim = int(generator.integers(2, 5))
+            triple = [quantumref.random_projector_pair(dim, generator) for _ in range(3)]
             dev = quantumref.povm_identity_check(*triple)
             worst_povm = max(worst_povm, dev)
             rows.append(("povm_identity", dim, dev))
@@ -328,7 +319,7 @@ def cmd_quantum_ref(args) -> int:
         frame = quantumref.SpinOneFrame.canonical()
         worst_order = 0.0
         for _ in range(50):
-            state = quantumref.random_density(3, rng)
+            state = quantumref.random_density(3, generator)
             dists = [
                 quantumref.luders_sequence(frame, order, state)
                 for order in ("xyz", "xzy", "yxz", "yzx", "zxy", "zyx")
@@ -430,10 +421,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InconsistentHistory as exc:
+    except models.InconsistentHistory as exc:
         print(f"inconsistent history: {exc}", file=sys.stderr)
         return 1
-    except BranchMassError as exc:
+    except models.BranchMassError as exc:
         print(f"model fault: {exc}", file=sys.stderr)
         return 1
     except behavior.CertificateError as exc:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
+from .. import MODEL_NAMES
 from .base import (
     ALICE,
     BOB,
@@ -34,8 +35,6 @@ from .base import (
 from .firefly import FLAVORS, FireflyModel
 from .lsw import LswModel
 from .seer import SeerModel
-
-MODEL_NAMES = ("seer", "firefly", "lsw")
 
 
 def make_model(

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Callable, Hashable, NamedTuple, Sequence
 
-from .behavior import PLUS, MINUS, BehaviorTable
+from . import behavior
 from .models import (
     ALICE,
     BOB,
@@ -429,7 +429,7 @@ LSW_SINGLE_INTERPRETATION: Interpretation = (
 PR_REALIZATION_SETTINGS = (("b", "b'"), ("a", "a'"))
 
 
-def realize_pr_box(model: Model, interpretation: Interpretation | None = None) -> BehaviorTable:
+def realize_pr_box(model: Model, interpretation: Interpretation | None = None) -> behavior.BehaviorTable:
     """Read one box out of each party's query and tabulate the +-1 outcomes.
 
     Full or glowing counts as +1.  The result is a full conditional table
@@ -443,6 +443,7 @@ def realize_pr_box(model: Model, interpretation: Interpretation | None = None) -
             if box not in Query(side, target).boxes:
                 raise ValueError(f"box {box} is not part of target {target}")
 
+    plus, minus = behavior.PLUS, behavior.MINUS
     table: dict[tuple[str, str], dict[tuple[int, int], Fraction]] = {}
     for (s_a, (target_a, box_a)), (s_b, (target_b, box_b)) in product(
         zip(PR_REALIZATION_SETTINGS[0], interpretation[0]), zip(PR_REALIZATION_SETTINGS[1], interpretation[1])
@@ -450,12 +451,12 @@ def realize_pr_box(model: Model, interpretation: Interpretation | None = None) -
         table[(s_a, s_b)] = _fresh_distribution(
             model,
             (PlanStep(ALICE, target_a), PlanStep(BOB, target_b)),
-            lambda h: tuple(PLUS if dict(o)[b] else MINUS for (_, o), b in zip(h.steps, (box_a, box_b))),
+            lambda h: tuple(plus if dict(o)[b] else minus for (_, o), b in zip(h.steps, (box_a, box_b))),
         )
-    return BehaviorTable(PR_REALIZATION_SETTINGS, ((PLUS, MINUS), (PLUS, MINUS)), table)
+    return behavior.BehaviorTable(PR_REALIZATION_SETTINGS, ((plus, minus), (plus, minus)), table)
 
 
-def sweep_pr_interpretations(model: Model) -> list[tuple[Interpretation, BehaviorTable]]:
+def sweep_pr_interpretations(model: Model) -> list[tuple[Interpretation, behavior.BehaviorTable]]:
     """All sixteen readings: each setting interpreted as either box of its query."""
     results = []
     for a1, a2, b1, b2 in product("AB", "BC", "AB", "CA"):

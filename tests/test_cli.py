@@ -282,6 +282,63 @@ class TestHelpAndColor:
                         "assumptions", "pr-boxes", "quantum-ref"):
             assert command in out
 
+    # The parser's model names come from the package root, not from the
+    # models; these pin its printed text byte for byte, at a fixed width.
+    TOP_HELP = """\
+usage: orthobox [-h]
+                {check,verify-theorem,simulate,fable,assumptions,pr-boxes,quantum-ref}
+                ...
+
+Exact orthogonality-scenario checks and toy-model simulations.
+
+positional arguments:
+  {check,verify-theorem,simulate,fable,assumptions,pr-boxes,quantum-ref}
+    check               classify a scenario file (bundled: specker_triple,
+                        firefly, lsw)
+    verify-theorem      sweep the signalling gap over a rational grid
+    simulate            run a query plan against a model
+    fable               run the prophecy game on the retrocausal boxes
+    assumptions         evaluate the three assumptions per model
+    pr-boxes            canonical boxes, or a model's box realization
+    quantum-ref         run the complex-matrix reference checks
+
+options:
+  -h, --help            show this help message and exit
+"""
+    SIMULATE_USAGE = """\
+usage: orthobox simulate [-h] [--seed SEED] --plan PLAN [--flavor FLAVOR]
+                         [--trials TRIALS]
+                         {seer,firefly,lsw}
+"""
+    SIMULATE_HELP = SIMULATE_USAGE + """
+positional arguments:
+  {seer,firefly,lsw}
+
+options:
+  -h, --help          show this help message and exit
+  --seed SEED         seed for all randomness (default 0)
+  --plan PLAN         plan file (bundled: fable, lsw_collapse, firefly_ca_bc)
+  --flavor FLAVOR     firefly flavor
+  --trials TRIALS     also sample this many runs
+"""
+
+    @pytest.mark.parametrize("argv, expected", [([], TOP_HELP), (["simulate"], SIMULATE_HELP)], ids=["top", "simulate"])
+    def test_help_text_is_pinned(self, capsys, monkeypatch, argv, expected):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (expected, "")
+
+    def test_unknown_model_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "bogus", "--plan", "fable"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", self.SIMULATE_USAGE + (
+            "orthobox simulate: error: argument model: invalid choice: 'bogus' (choose from 'seer', 'firefly', 'lsw')\n"
+        ))
+
     def test_color_env_toggles_ansi(self, capsys, monkeypatch):
         monkeypatch.setenv("ORTHOBOX_COLOR", "1")
         _, colored, _ = run(capsys, "assumptions", "seer")
@@ -333,18 +390,30 @@ def test_cli_import_leaves_numpy_unloaded():
     assert "numpy.linalg" in used
 
 
-LAZY = ["orthobox.behavior", "orthobox.linprog", "orthobox.protocols", "orthobox.quantumref", "orthobox.scenario", "orthobox.theorem"]
+LAZY = [
+    "orthobox.behavior", "orthobox.linprog", "orthobox.models", "orthobox.protocols",
+    "orthobox.quantumref", "orthobox.rng", "orthobox.scenario", "orthobox.theorem",
+]
+
+
+def lazy_except(*run: str) -> list[str]:
+    return [m for m in LAZY if m.split(".")[1] not in run]
 
 
 @pytest.mark.parametrize(
     "argv, not_run",
     [
         (None, LAZY),
-        (["check", "specker_triple"], ["orthobox.protocols", "orthobox.quantumref", "orthobox.theorem"]),
-        (["verify-theorem", "--grid", "6"], [m for m in LAZY if m != "orthobox.theorem"]),
-        (["simulate", "seer", "--plan", "fable", "--trials", "10"], LAZY),
+        (["check", "specker_triple"], lazy_except("scenario", "behavior", "linprog")),
+        (["verify-theorem", "--grid", "6"], lazy_except("theorem")),
+        (["simulate", "seer", "--plan", "fable", "--trials", "10"], lazy_except("models", "rng")),
+        # protocols reaches behavior, and behavior its siblings, through the
+        # package, so the CLI's lazy bindings stay unrun where they are unused.
+        (["fable", "--trials", "10"], lazy_except("models", "rng", "protocols")),
+        (["assumptions", "lsw"], lazy_except("models", "rng", "protocols")),
+        (["pr-boxes"], lazy_except("behavior")),
     ],
-    ids=["import", "check", "verify-theorem", "simulate"],
+    ids=["import", "check", "verify-theorem", "simulate", "fable", "assumptions", "pr-boxes"],
 )
 def test_each_command_runs_only_its_modules(argv, not_run):
     code = "import orthobox.cli" + (f"; orthobox.cli.main({argv!r})" if argv else "")
@@ -352,12 +421,13 @@ def test_each_command_runs_only_its_modules(argv, not_run):
 
 
 def test_lazy_binding_keeps_one_module_object():
-    # A second behavior module would have its own CertificateError, which the
-    # CLI's handler would not catch.
-    code = "import orthobox.behavior as first; import orthobox.cli"
-    assert probe(code, "orthobox.cli.behavior is first is sys.modules['orthobox.behavior'] is orthobox.behavior")
-    # Imported the other way round, the package attribute is set as a plain import sets it.
-    assert probe("import orthobox.cli, orthobox.behavior", "orthobox.behavior is orthobox.cli.behavior")
+    # A second behavior or models module would have its own CertificateError
+    # or InconsistentHistory, which the CLI's handlers would not catch.
+    for name in ("behavior", "models"):
+        code = f"import orthobox.{name} as first; import orthobox.cli"
+        assert probe(code, f"orthobox.cli.{name} is first is sys.modules['orthobox.{name}'] is orthobox.{name}")
+        # Imported the other way round, the package attribute is set as a plain import sets it.
+        assert probe(f"import orthobox.cli, orthobox.{name}", f"orthobox.{name} is orthobox.cli.{name}")
 
 
 def test_library_modules_load_only_their_imports():

@@ -16,7 +16,7 @@ from itertools import combinations
 import pytest
 
 import dense_tableau
-from orthobox import behavior
+from orthobox import linprog
 from orthobox.behavior import CertificateError, admissible_assignments, check_exclusivity, joint_feasibility
 from orthobox.cli import main
 from orthobox.linprog import feasible_combination
@@ -350,7 +350,7 @@ class TestAgainstDenseTableau:
     def both(self, monkeypatch, g, m):
         revised = joint_feasibility(g, m)
         with monkeypatch.context() as patch:
-            patch.setattr(behavior, "feasible_combination", densified)
+            patch.setattr(linprog, "feasible_combination", densified)
             dense = joint_feasibility(g, m)
         return revised, dense
 
@@ -410,7 +410,7 @@ class TestCertificateSelfCheck:
         def solver(columns, target):
             return change(*feasible_combination(columns, target))
 
-        monkeypatch.setattr(behavior, "feasible_combination", solver)
+        monkeypatch.setattr(linprog, "feasible_combination", solver)
 
     def test_shifted_witness_weight_raises(self, monkeypatch):
         s, _ = specker_triple()

@@ -345,7 +345,7 @@ class TestForbiddenProtocolsAreTypedErrors:
             realize_pr_box(ForbiddenAfter(1))
 
     def test_cli_exits_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "make_model", lambda *args, **kwargs: ForbiddenAfter(1))
+        monkeypatch.setattr(cli.models, "make_model", lambda *args, **kwargs: ForbiddenAfter(1))
         assert cli.main(["pr-boxes", "--model", "seer"]) == 1
         assert "cannot be forbidden" in capsys.readouterr().err
 
@@ -357,7 +357,7 @@ class TestForbiddenProtocolsAreTypedErrors:
         assert captured.err.startswith("inconsistent history: the fable's alice ")
 
     def test_cli_assumptions_exit_one(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "make_model", lambda *args, **kwargs: ForbiddenAfter(0))
+        monkeypatch.setattr(cli.models, "make_model", lambda *args, **kwargs: ForbiddenAfter(0))
         assert cli.main(["assumptions", "seer"]) == 1
         assert "cannot be forbidden" in capsys.readouterr().err
 

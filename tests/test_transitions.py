@@ -260,7 +260,7 @@ class TestBranchMass:
     @pytest.mark.parametrize("case", BAD_WEIGHTS)
     @pytest.mark.parametrize(
         "module, argv",
-        [(cli, ["simulate", "seer", "--plan", "fable"]), (protocols, ["fable", "--trials", "3"])],
+        [(cli.models, ["simulate", "seer", "--plan", "fable"]), (protocols, ["fable", "--trials", "3"])],
         ids=["simulate-enumerated", "fable-sampled"],
     )
     def test_cli_exit_one(self, monkeypatch, capsys, case, module, argv):
