@@ -7,16 +7,15 @@ single box or a pair of boxes on one party's side; outcomes record one
 boolean per queried box (True for full/glowing).  Each model instance caches
 its transitions.
 
-A plan runs as a tree of ``PlanTree`` nodes rooted at the model's prior and
-built lazily: a node holds one cached transition's draw thresholds, and
-builds each child, checking the child's step, on the first visit; a leaf is
-a ``Leaf`` holding a finished or forbidden ``History``, whose signature is
-filled on its first sample.  Sampling walks one drawn branch per level,
-exactly one u64 and one binary search per step, even a sure one.  Each
-model keeps the tree of each plan it samples, so a repeated plan costs its
-draws and little else.  Enumeration checks the whole plan first, then builds
-every child of a fresh tree of its own, freed when it returns, and builds no
-signature.
+A plan runs as a tree of ``PlanTree`` nodes rooted at the model's prior:
+``compile_plan`` checks every step once, unreachable ones included, and
+returns a fresh tree that nothing else keeps.  The tree is built lazily: a
+node holds one cached transition's draw thresholds and builds each child on
+the first visit; a leaf is a ``Leaf`` holding a finished or forbidden
+``History``, whose signature is filled on its first sample.  Sampling walks
+one drawn branch per level, exactly one u64 and one binary search per step,
+even a sure one, so sampling a held tree again costs its draws and little
+else.  Enumeration builds every child of its tree and no signature.
 
 Sessions are single-threaded: queries mutate one session sequentially.
 Distinct sessions are independent.
@@ -135,11 +134,6 @@ class Model:
 
     @cached_property
     def _transitions(self) -> dict:
-        return {}
-
-    @cached_property
-    def _trees(self) -> dict:
-        """Plan -> its compiled PlanTree."""
         return {}
 
     def transition(self, state, query: Query) -> Transition:
@@ -371,9 +365,8 @@ class PlanTree:
         self.children: list = [None] * len(self.branches)
         self.step, self.rest, self.trail, self.num, self.den = step, rest, trail, num, den
 
-    def child(self, i: int, check: bool = True):
-        """Branch ``i``'s node, built on the first visit; its step is checked
-        then, unless ``check`` is False because the whole plan was checked."""
+    def child(self, i: int):
+        """Branch ``i``'s node, built on the first visit."""
         node = self.children[i]
         if node is not None:
             return node
@@ -389,8 +382,6 @@ class PlanTree:
             node = Leaf(History(_unlinked(trail), Fraction(num, den)))
         else:
             step, rest = queue
-            if check:
-                check_step(model, step)
             try:
                 transition = model.transition(state, step.query)
             except InconsistentHistory:
@@ -413,25 +404,25 @@ class PlanTree:
 
 
 def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
-    """The model's tree for this plan, created on the first call and kept."""
+    """A fresh tree for this plan, after checking every step, unreachable
+    ones included; the caller holds it for as long as it samples the plan."""
     plan = tuple(plan)
-    tree = model._trees.get(plan)
-    if tree is None:
-        tree = model._trees[plan] = PlanTree(model, _linked(plan))
-    return tree
+    for step in plan_steps(plan):
+        check_step(model, step)
+    return PlanTree(model, _linked(plan))
 
 
 def _collect(root: PlanTree) -> list[History]:
-    """The histories of the leaves below ``root``, depth first, building nodes
-    unchecked; a stack of (node, next child index) in place of recursion, so
-    a plan's length is bounded by memory, not by the interpreter's call depth."""
+    """The histories of the leaves below ``root``, depth first; a stack of
+    (node, next child index) in place of recursion, so a plan's length is
+    bounded by memory, not by the interpreter's call depth."""
     leaves: list[History] = []
     stack = [(root, 0)]
     while stack:
         node, i = stack.pop()
         if i < len(node.children):
             stack.append((node, i + 1))
-            child = node.child(i, check=False)
+            child = node.child(i)
             if type(child) is Leaf:
                 leaves.append(child.history)
             else:
@@ -440,20 +431,15 @@ def _collect(root: PlanTree) -> list[History]:
 
 
 def enumerate_histories(model: Model, plan: Iterable[PlanStep]) -> list[History]:
-    """Exhaustive branch enumeration over hidden variables and outcomes, after
-    checking every step, unreachable ones included.  It walks a fresh tree,
-    freed on return: the assumption battery enumerates thousands of plans once
-    each, where keeping every tree costs more than it saves."""
-    plan = tuple(plan)
-    for step in plan_steps(plan):
-        check_step(model, step)
-    return _collect(PlanTree(model, _linked(plan)))
+    """Exhaustive branch enumeration over hidden variables and outcomes: the
+    leaves of ``compile_plan(model, plan)``, whose tree is freed on return."""
+    return _collect(compile_plan(model, plan))
 
 
 def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:
-    """One seeded run of a plan: one draw for the hidden state, then one per
-    visited step, each checked when reached; forbidden queries yield a
-    flagged history, with weight 1."""
+    """One seeded run of a plan, checked whole before the first draw: one
+    draw for the hidden state, then one per visited step; forbidden queries
+    yield a flagged history, with weight 1."""
     leaf = compile_plan(model, plan).sample(rng).history
     return History(leaf.steps, Fraction(1), leaf.forbidden)
 

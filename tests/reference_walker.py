@@ -1,12 +1,12 @@
 """The recursive plan walker and the session-driven fable that compiled plan
 trees replaced, kept as the differential reference.
 
-``walk`` follows every nonzero branch of the prior and of each step without
-``rng``; with ``rng`` it follows one drawn branch of each and checks each
-step as it is reached.  ``fable`` plays the prophecy game query by query on
-a ``Session``.  Both read the model's cached transitions, so they pin the
-tree's bookkeeping (draw order, checks, forbidden leaves, signatures), not
-the transitions themselves.
+``walk`` checks every step of the plan first, unreachable ones included,
+then follows every nonzero branch of the prior and of each step without
+``rng``, or with ``rng`` one drawn branch of each.  ``fable`` plays the
+prophecy game query by query on a ``Session``.  Both read the model's cached
+transitions, so they pin the tree's bookkeeping (draw order, checks,
+forbidden leaves, signatures), not the transitions themselves.
 """
 
 from fractions import Fraction
@@ -18,6 +18,9 @@ from orthobox.rng import SplitMix64
 
 
 def walk(model, plan, rng=None) -> list[History]:
+    plan = tuple(plan)
+    for step in plan_steps(plan):
+        check_step(model, step)
     results = []
 
     def follow(entry):
@@ -29,8 +32,6 @@ def walk(model, plan, rng=None) -> list[History]:
             return
         step, rest = queue[0], queue[1:]
         query = step.query
-        if rng is not None:
-            check_step(model, step)
         try:
             entry = model.transition(state, query)
         except InconsistentHistory:
@@ -41,14 +42,11 @@ def walk(model, plan, rng=None) -> list[History]:
             visit(next_state, step.substeps(key) + rest, next_prob, trail + ((query, outcome),))
 
     for _, _, state, prior in follow(model.prior):
-        visit(state, tuple(plan), prior if rng is None else Fraction(1), ())
+        visit(state, plan, prior if rng is None else Fraction(1), ())
     return results
 
 
 def enumerate_histories(model, plan) -> list[History]:
-    plan = tuple(plan)
-    for step in plan_steps(plan):
-        check_step(model, step)
     return walk(model, plan)
 
 

@@ -7,9 +7,9 @@ from orthobox.models import (
     PlanStep,
     Query,
     Session,
+    compile_plan,
     enumerate_histories,
     exact_distribution,
-    history_signature,
     make_model,
     parse_plan,
     sample_history,
@@ -184,9 +184,10 @@ class TestSampling:
         exact = exact_distribution(model, plan)
         n = 4000
         rng = SplitMix64(2024)
+        tree = compile_plan(model, plan)
         counts = {}
         for _ in range(n):
-            sig = history_signature(sample_history(model, plan, rng), model)
+            sig = tree.sample(rng).signature
             counts[sig] = counts.get(sig, 0) + 1
         assert set(counts) <= set(exact)
         for sig, p in exact.items():
@@ -195,18 +196,15 @@ class TestSampling:
             assert abs(counts.get(sig, 0) - mean) <= 4 * dev + 1e-9
 
     def test_sampling_checks_each_query_when_reached(self):
+        # Every query is checked before the first draw, the one under the
+        # branch no draw reaches too, so a failed run consumes no draw.
         model = make_model("firefly")
         plan = parse_plan("alice AB\n  on A: bob C")
         rng = SplitMix64(5)
-        outcomes = set()
         for _ in range(20):
-            try:
-                history = sample_history(model, plan, rng)
-            except InadmissibleQuery:
-                outcomes.add("A")
-            else:
-                outcomes.add(model.outcome_key(*history.steps[0]))
-        assert outcomes == {"A", "B"}
+            with pytest.raises(InadmissibleQuery, match="a corner cannot be observed alone"):
+                sample_history(model, plan, rng)
+        assert rng.next_u64() == SplitMix64(5).next_u64()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_sampling_rejects_typod_branch_key(self, seed):
@@ -219,6 +217,7 @@ class TestSampling:
         model = make_model("seer")
         plan = parse_plan("bob A\nalice B\nbob C\nalice C")
         rng = SplitMix64(9)
-        flags = [sample_history(model, plan, rng).forbidden for _ in range(200)]
+        tree = compile_plan(model, plan)
+        flags = [tree.sample(rng).history.forbidden for _ in range(200)]
         rate = sum(flags) / len(flags)
         assert 0.35 < rate < 0.65  # exact forbidden mass is 1/2

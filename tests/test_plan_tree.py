@@ -126,24 +126,17 @@ def test_fable_matches_reference(seed):
 
 
 class TestTree:
-    def test_compiled_once_per_model_and_plan(self):
-        model = make_model("seer")
-        plan = parse_plan("alice C\n  on full: alice B\n  on empty: alice A\nbob AB")
-        tree = compile_plan(model, plan)
-        assert compile_plan(model, list(plan)) is tree
-        assert compile_plan(model, parse_plan("alice C\n  on full: alice B\n  on empty: alice A\nbob AB")) is tree
-        assert compile_plan(make_model("seer"), plan) is not tree
-
     def test_built_tree_reads_no_transition(self, monkeypatch):
         model = make_model("seer")
         plan = parse_plan("bob A\nalice B\nbob C\nalice C")
+        tree = compile_plan(model, plan)
         rng = SplitMix64(1)
-        histories = [sample_history(model, plan, rng) for _ in range(200)]  # builds the nodes it draws
+        histories = [tree.sample(rng).history for _ in range(200)]  # builds the nodes it draws
         assert {h.forbidden for h in histories} == {True, False}
         monkeypatch.setattr(model, "transition", None)  # any call would fail
         monkeypatch.setattr(model, "check_admissible", None)
         rng = SplitMix64(1)
-        assert [sample_history(model, plan, rng) for _ in range(200)] == histories
+        assert [tree.sample(rng).history for _ in range(200)] == histories
 
     def test_enumeration_leaves_nothing_behind(self):
         model = make_model("seer")
@@ -156,7 +149,6 @@ class TestTree:
         finally:
             gc.enable()
         assert histories and not nodes
-        assert not model._trees
 
     def test_sampled_history_has_weight_one(self):
         model = make_model("lsw")
@@ -171,24 +163,24 @@ class TestTree:
         assert history_signature(history, model) == (("alice", "CA", "C"), ("bob", "AB", "forbidden"))
 
     def test_enumeration_checks_unreachable_steps(self):
-        # Sampling never reaches the branch; enumeration still rejects it.
+        # No draw reaches the branch; enumeration and sampling still reject it.
         model = make_model("seer")
         plan = parse_plan("alice AB\n  on full,full:\n    bob C\n      on ful: bob A\nbob B")
-        rng = SplitMix64(0)
-        assert all(len(sample_history(model, plan, rng).steps) == 2 for _ in range(100))
-        with pytest.raises(InadmissibleQuery, match="bob C has no outcome 'ful'"):
-            enumerate_histories(model, plan)
+        assert (("alice", "AB", "full,full"),) not in exact_distribution(model, parse_plan("alice AB"))
+        for run in (lambda: enumerate_histories(model, plan), lambda: sample_history(model, plan, SplitMix64(0))):
+            with pytest.raises(InadmissibleQuery, match="bob C has no outcome 'ful'"):
+                run()
 
     def test_long_sequential_plan_memory_is_linear(self):
         # A node shares its pending steps and its trail with its parent:
         # copying them per node made 3,000 steps peak above 100 MB.
         plan = parse_plan("alice A\n" * 3000)
-        runs = {
-            "enumerate": lambda model: enumerate_histories(model, plan),
-            "compile and sample": lambda model: [
-                compile_plan(model, plan).sample(SplitMix64(seed)).history for seed in range(20)
-            ],
-        }
+
+        def compile_and_sample(model):
+            tree = compile_plan(model, plan)
+            return [tree.sample(SplitMix64(seed)).history for seed in range(20)]
+
+        runs = {"enumerate": lambda model: enumerate_histories(model, plan), "compile and sample": compile_and_sample}
         for name, run in runs.items():
             model = make_model("lsw")
             tracemalloc.start()

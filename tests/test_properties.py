@@ -11,6 +11,7 @@ from orthobox.models import (
     FLAVORS,
     PlanStep,
     Query,
+    compile_plan,
     enumerate_histories,
     exact_distribution,
     history_signature,
@@ -89,7 +90,7 @@ def test_sampled_frequencies_match_exact(name, flavor, data, seed):
     # slack) of n*p, the bound the benchmark oracle applies to printed rates.
     model = drawn_model(data, name, flavor)
     plan = data.draw(plans(model, 4), label="plan")
-    n, rng = 1000, SplitMix64(seed)
-    counts = Counter(history_signature(sample_history(model, plan, rng), model) for _ in range(n))
+    n, rng, tree = 1000, SplitMix64(seed), compile_plan(model, plan)
+    counts = Counter(tree.sample(rng).signature for _ in range(n))
     for sig, p in exact_distribution(model, plan).items():
         assert abs(counts[sig] - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1

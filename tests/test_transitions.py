@@ -17,6 +17,7 @@ from orthobox.models import (
     Model,
     Query,
     Session,
+    compile_plan,
     enumerate_histories,
     make_model,
     parse_plan,
@@ -190,14 +191,16 @@ class TestForbiddenHits:
         model = make_model("seer")
         plan = parse_plan(self.PLAN)
         rng = SplitMix64(9)
-        histories = [sample_history(model, plan, rng) for _ in range(5000)]
+        tree = compile_plan(model, plan)
+        histories = [tree.sample(rng).history for _ in range(5000)]
         # Both figures as recorded before the cache existed: 2446 forbidden
         # runs, and the stream continuing at the same draw.
         assert sum(h.forbidden for h in histories) == 2446
         assert rng.next_u64() == 6389042908124094128
         # A fresh model per run, so every transition is a miss, agrees.
         rng = SplitMix64(9)
-        assert [sample_history(make_model("seer"), plan, rng) for _ in range(5000)] == histories
+        fresh = [sample_history(make_model("seer"), plan, rng) for _ in range(5000)]
+        assert [(h.steps, h.forbidden) for h in fresh] == [(h.steps, h.forbidden) for h in histories]
 
     def test_every_hit_raises_a_fresh_identical_exception(self):
         model = make_model("seer")
