@@ -179,8 +179,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"{plan_path.name}: plan nests too deeply") from None
     if not plan:
         raise ValueError(f"{plan_path.name}: plan has no steps")
-    tree = models.compile_plan(model, plan)  # sampling builds only the branches it draws
-    histories = models.enumerate_histories(model, plan)
+    tree = models.compile_plan(model, plan)
+    histories = models.enumerate_histories(tree)  # sampling then reuses every node
     grouped = models.group_histories(histories, lambda h: models.history_signature(h, model))
     source = rng.SplitMix64(args.seed)
     counts = Counter(tree.sample(source).signature for _ in range(args.trials))

@@ -8,14 +8,16 @@ boolean per queried box (True for full/glowing).  Each model instance caches
 its transitions.
 
 A plan runs as a tree of ``PlanTree`` nodes rooted at the model's prior:
-``compile_plan`` checks every step once, unreachable ones included, and
-returns a fresh tree that nothing else keeps.  The tree is built lazily: a
+``compile_plan`` is the one place a plan is checked, every step once,
+unreachable ones included, and returns a fresh tree that nothing else
+keeps.  The caller holds the tree and runs it either way:
+``enumerate_histories(tree)`` builds every child and no signature, and
+``tree.sample(rng)`` walks one drawn branch per level, exactly one u64 and
+one binary search per step, even a sure one.  The tree is built lazily: a
 node holds one cached transition's draw thresholds and builds each child on
 the first visit; a leaf is a ``Leaf`` holding a finished or forbidden
-``History``, whose signature is filled on its first sample.  Sampling walks
-one drawn branch per level, exactly one u64 and one binary search per step,
-even a sure one, so sampling a held tree again costs its draws and little
-else.  Enumeration builds every child of its tree and no signature.
+``History``, whose signature is filled on its first sample.  So sampling a
+tree that was enumerated or sampled before costs its draws and little else.
 
 Sessions are single-threaded: queries mutate one session sequentially.
 Distinct sessions are independent.
@@ -310,17 +312,6 @@ class History(NamedTuple):
     forbidden: bool = False
 
 
-def check_step(model: Model, step: PlanStep) -> None:
-    """Reject a step whose query the model does not offer, or with a branch
-    key that its query can never give."""
-    query = step.query
-    model.check_admissible(query)
-    for key, _ in step.branches:
-        if key not in model.outcome_keys(query):
-            outcomes = "; ".join(model.outcome_keys(query))
-            raise InadmissibleQuery(f"{query.side} {query.target} has no outcome {key!r} ({outcomes})")
-
-
 class Leaf:
     """A finished or forbidden branch of a compiled plan: its ``History``,
     with its path weight, and its signature, filled on its first sample."""
@@ -405,17 +396,26 @@ class PlanTree:
 
 def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
     """A fresh tree for this plan, after checking every step, unreachable
-    ones included; the caller holds it for as long as it samples the plan."""
+    ones included: the model must offer its query, and each branch key must
+    be an outcome the query can give.  The caller holds the tree for as
+    long as it enumerates or samples the plan."""
     plan = tuple(plan)
     for step in plan_steps(plan):
-        check_step(model, step)
+        query = step.query
+        model.check_admissible(query)
+        for key, _ in step.branches:
+            if key not in model.outcome_keys(query):
+                outcomes = "; ".join(model.outcome_keys(query))
+                raise InadmissibleQuery(f"{query.side} {query.target} has no outcome {key!r} ({outcomes})")
     return PlanTree(model, _linked(plan))
 
 
-def _collect(root: PlanTree) -> list[History]:
-    """The histories of the leaves below ``root``, depth first; a stack of
-    (node, next child index) in place of recursion, so a plan's length is
-    bounded by memory, not by the interpreter's call depth."""
+def enumerate_histories(root: PlanTree) -> list[History]:
+    """Exhaustive branch enumeration over hidden variables and outcomes: the
+    histories of the leaves below ``root``, depth first, building every node
+    and no signature.  A stack of (node, next child index) stands in for
+    recursion, so a plan's length is bounded by memory, not by the
+    interpreter's call depth."""
     leaves: list[History] = []
     stack = [(root, 0)]
     while stack:
@@ -428,12 +428,6 @@ def _collect(root: PlanTree) -> list[History]:
             else:
                 stack.append((child, 0))
     return leaves
-
-
-def enumerate_histories(model: Model, plan: Iterable[PlanStep]) -> list[History]:
-    """Exhaustive branch enumeration over hidden variables and outcomes: the
-    leaves of ``compile_plan(model, plan)``, whose tree is freed on return."""
-    return _collect(compile_plan(model, plan))
 
 
 def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:
@@ -463,4 +457,4 @@ def group_histories(histories: Iterable[History], key: Callable[[History], Hasha
 
 def exact_distribution(model: Model, plan: Iterable[PlanStep]) -> dict[tuple, Fraction]:
     """Signature -> exact probability over a complete enumeration."""
-    return group_histories(enumerate_histories(model, plan), lambda h: history_signature(h, model))
+    return group_histories(enumerate_histories(compile_plan(model, plan)), lambda h: history_signature(h, model))

@@ -17,9 +17,10 @@ each (first query, follow-up, Bob target) plan is enumerated once and split
 by Alice's first outcome; Bob's shift is a sum of one independent term per
 first outcome, so its extremes come from the best follow-up under each
 outcome, not from scoring every strategy.  Distribution comparisons are
-exact rational equality throughout.  Every distribution is read through
-``_distribution``; a forbidden branch in a plan run on a fresh session is
-an ``InconsistentHistory`` naming the plan.
+exact rational equality throughout.  Distributions are read through
+``_distribution``, while (c)'s search and (a)'s scan read each history; a
+forbidden branch in a plan run on a fresh session is an
+``InconsistentHistory`` naming the plan.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _describe_plan(plan: Sequence[PlanStep]) -> str:
 def _distribution(model: Model, plan: Sequence[PlanStep], key: Callable[[History], Hashable]) -> dict:
     """Exact distribution of ``key(history)`` over a plan's histories, with
     the forbidden ones grouped under ``None``."""
-    return group_histories(enumerate_histories(model, plan), lambda h: None if h.forbidden else key(h))
+    return group_histories(enumerate_histories(compile_plan(model, plan)), lambda h: None if h.forbidden else key(h))
 
 
 def _fresh_distribution(model: Model, plan: Sequence[PlanStep], key: Callable[[History], Hashable]) -> dict:
@@ -134,11 +135,13 @@ def _signalling_parts(model: Model, keys: dict[str, Sequence[str]], bob_targets:
     through k are the ones a strategy choosing that follow-up for k has."""
     parts: dict = {}
     blocked = set()
+    bob_steps = [(bob_target, PlanStep(BOB, bob_target)) for bob_target in bob_targets]
     for first, follow in product(keys, (None, *model.admissible_targets(ALICE))):
         branches = tuple((key, (PlanStep(ALICE, follow),)) for key in keys[first]) if follow else ()
-        for bob_target in bob_targets:
+        alice_step = PlanStep(ALICE, first, branches)
+        for bob_target, bob_step in bob_steps:
             part = parts[first, follow, bob_target] = {key: {} for key in keys[first]}
-            for history in enumerate_histories(model, (PlanStep(ALICE, first, branches), PlanStep(BOB, bob_target))):
+            for history in enumerate_histories(compile_plan(model, (alice_step, bob_step))):
                 query, outcome = history.steps[0]
                 if outcome is None:
                     blocked.add(first)
@@ -269,7 +272,7 @@ def test_assumption_a(model: Model) -> AssumptionVerdict:
             for real_a, real_b in product(_realizations(model, ALICE, ctx_a), _realizations(model, BOB, ctx_b)):
                 for plan in _interleavings(real_a, real_b):
                     if plan not in enumerated:
-                        enumerated[plan] = enumerate_histories(model, plan)
+                        enumerated[plan] = enumerate_histories(compile_plan(model, plan))
                     for history in enumerated[plan]:
                         if history.forbidden:
                             continue

@@ -11,16 +11,14 @@ forbidden leaves, signatures), not the transitions themselves.
 
 from fractions import Fraction
 
-from orthobox.models import ALICE, BOB, BOXES, PAIRS, History, InconsistentHistory, Query, Session, make_model
-from orthobox.models.base import check_step, plan_steps
+from orthobox.models import ALICE, BOB, BOXES, PAIRS, History, InconsistentHistory, Query, Session, compile_plan, make_model
 from orthobox.protocols import FableStats
 from orthobox.rng import SplitMix64
 
 
 def walk(model, plan, rng=None) -> list[History]:
     plan = tuple(plan)
-    for step in plan_steps(plan):
-        check_step(model, step)
+    compile_plan(model, plan)  # checks every step, unreachable ones included
     results = []
 
     def follow(entry):

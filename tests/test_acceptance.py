@@ -172,7 +172,7 @@ def test_criterion_05_assumption_matrix():
                 ok = False
             if not v.holds and v.witness.plan:
                 total = sum(
-                    (h.probability for h in enumerate_histories(make_model(name), v.witness.plan)),
+                    (h.probability for h in enumerate_histories(compile_plan(make_model(name), v.witness.plan))),
                     Fraction(0),
                 )
                 if total != 1:
@@ -273,7 +273,7 @@ def test_criterion_09_grandfather_consistency():
                 raised = True
                 break
     plan = (PlanStep("bob", "A"), PlanStep("alice", "B"), PlanStep("bob", "C"), PlanStep("alice", "C"))
-    histories = enumerate_histories(model, plan)
+    histories = enumerate_histories(compile_plan(model, plan))
     forbidden_mass = sum((h.probability for h in histories if h.forbidden), Fraction(0))
     ok = raised and forbidden_mass == Fraction(1, 2)
     verdict(9, ok, "contradictory finds make the shared third box unanswerable")

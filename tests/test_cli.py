@@ -176,6 +176,27 @@ class TestSimulate:
         assert out == ""
         assert err == "error: deep.plan: plan nests too deeply\n"
 
+    def test_plan_is_checked_once_and_compiled_once(self, capsys, monkeypatch):
+        # Enumeration and sampling both run the one tree simulate compiled.
+        models = orthobox.cli.models
+
+        def spy(calls, fn):
+            def wrapper(*args):
+                calls.append((args, fn(*args)))
+                return calls[-1][1]
+            return wrapper
+
+        compiled, enumerated, checks = [], [], []
+        monkeypatch.setattr(models, "compile_plan", spy(compiled, models.compile_plan))
+        monkeypatch.setattr(models, "enumerate_histories", spy(enumerated, models.enumerate_histories))
+        monkeypatch.setattr(models.Model, "check_admissible", spy(checks, models.Model.check_admissible))
+        code, out, _ = run(capsys, "simulate", "seer", "--plan", "fable", "--trials", "2500")
+        assert code == 0 and "total probability: 1" in out
+        [(_, tree)] = compiled
+        [(args, _)] = enumerated
+        assert len(args) == 1 and args[0] is tree
+        assert len(checks) == 4  # once per step of the plan
+
     def test_inadmissible_plan_is_input_error(self, capsys, tmp_path):
         plan = tmp_path / "bad.plan"
         plan.write_text("alice A\n")

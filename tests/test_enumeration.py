@@ -113,7 +113,7 @@ class TestEnumeration:
         for name, text in cases:
             model = make_model(name)
             total = sum(
-                (h.probability for h in enumerate_histories(model, parse_plan(text))),
+                (h.probability for h in enumerate_histories(compile_plan(model, parse_plan(text)))),
                 Fraction(0),
             )
             assert total == 1, (name, text)
@@ -121,7 +121,7 @@ class TestEnumeration:
     def test_adaptive_branches_only_fire_on_their_outcome(self):
         model = make_model("seer")
         plan = parse_plan("alice C\n  on full: alice B\nbob AB")
-        for history in enumerate_histories(model, plan):
+        for history in enumerate_histories(compile_plan(model, plan)):
             words = [
                 (q.side, q.target, model.outcome_key(q, o)) for q, o in history.steps
             ]
@@ -133,7 +133,7 @@ class TestEnumeration:
     def test_inadmissible_plan_rejected_up_front(self):
         model = make_model("firefly")
         with pytest.raises(InadmissibleQuery):
-            enumerate_histories(model, parse_plan("alice A"))
+            enumerate_histories(compile_plan(model, parse_plan("alice A")))
 
     @pytest.mark.parametrize(
         "name,text",
@@ -149,7 +149,7 @@ class TestEnumeration:
     )
     def test_impossible_branch_keys_rejected(self, name, text):
         with pytest.raises(InadmissibleQuery):
-            enumerate_histories(make_model(name), parse_plan(text))
+            enumerate_histories(compile_plan(make_model(name), parse_plan(text)))
 
 
 class TestSampling:

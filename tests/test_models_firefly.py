@@ -9,6 +9,7 @@ from orthobox.models import (
     InadmissibleQuery,
     PlanStep,
     Query,
+    compile_plan,
     enumerate_histories,
     exact_distribution,
 )
@@ -108,7 +109,7 @@ class TestSingleBox:
 
     def test_exactly_one_corner_glows(self):
         model = FireflyModel()
-        for history in enumerate_histories(model, (PlanStep("alice", "AB"),)):
+        for history in enumerate_histories(compile_plan(model, (PlanStep("alice", "AB"),))):
             lit = [box for box, v in history.steps[0][1] if v]
             assert len(lit) == 1
 
@@ -137,9 +138,7 @@ class TestEntangledMirror:
 
     def test_hidden_branches_sum_to_one(self):
         model = FireflyModel("mirror")
-        histories = enumerate_histories(
-            model, (PlanStep("alice", "CA"), PlanStep("bob", "BC"))
-        )
+        histories = enumerate_histories(compile_plan(model, (PlanStep("alice", "CA"), PlanStep("bob", "BC"))))
         assert len(histories) == 6
         assert sum(h.probability for h in histories) == 1
 
@@ -161,7 +160,7 @@ class TestFlavors:
             PlanStep("bob", "CA"),
         )
         disagree = Fraction(0)
-        for history in enumerate_histories(model, plan):
+        for history in enumerate_histories(compile_plan(model, plan)):
             alice_c = dict(history.steps[2][1])["C"]
             bob_c = dict(history.steps[3][1])["C"]
             if alice_c != bob_c:

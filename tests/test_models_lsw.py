@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from orthobox.models import LswModel, PlanStep, enumerate_histories, exact_distribution
+from orthobox.models import LswModel, PlanStep, compile_plan, enumerate_histories, exact_distribution
 
 from plan_digest import linear_plan_digest
 
@@ -62,7 +62,7 @@ class TestSingleSide:
     def test_flat_marginals_per_context(self):
         model = LswModel()
         for target in ("A", "B", "C", "AB", "BC", "CA"):
-            for history in enumerate_histories(model, (PlanStep("alice", target),)):
+            for history in enumerate_histories(compile_plan(model, (PlanStep("alice", target),))):
                 assert history.probability == Fraction(1, 2)
 
     def test_rereading_is_stable(self):

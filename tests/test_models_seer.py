@@ -8,6 +8,7 @@ from orthobox.models import (
     Query,
     SeerModel,
     Session,
+    compile_plan,
     enumerate_histories,
     exact_distribution,
     make_model,
@@ -46,7 +47,7 @@ class TestFlatBoxes:
     def test_every_pair_query_has_exactly_one_gem(self):
         model = SeerModel()
         for target in ("AB", "BC", "CA"):
-            for history in enumerate_histories(model, (PlanStep("alice", target),)):
+            for history in enumerate_histories(compile_plan(model, (PlanStep("alice", target),))):
                 values = [v for _, v in history.steps[0][1]]
                 assert sum(values) == 1
 
@@ -75,7 +76,7 @@ class TestGrandfatherConsistency:
 
     def test_enumeration_flags_forbidden_branches(self):
         model = SeerModel()
-        histories = enumerate_histories(model, self.FORBIDDEN_PLAN)
+        histories = enumerate_histories(compile_plan(model, self.FORBIDDEN_PLAN))
         forbidden = [h for h in histories if h.forbidden]
         allowed = [h for h in histories if not h.forbidden]
         assert sum(h.probability for h in histories) == 1
@@ -166,7 +167,7 @@ class TestThirdBox:
         # whim, but still agrees with the other side once opened there.
         model = SeerModel()
         plan = (PlanStep("alice", "AB"), PlanStep("alice", "C"), PlanStep("bob", "C"))
-        for history in enumerate_histories(model, plan):
+        for history in enumerate_histories(compile_plan(model, plan)):
             assert not history.forbidden
             assert dict(history.steps[1][1])["C"] == dict(history.steps[2][1])["C"]
         dist = signatures(model, plan)
@@ -186,7 +187,7 @@ class TestOpeningOrder:
         model = SeerModel()
         for first, second in (("A", "B"), ("B", "A")):
             plan = (PlanStep("alice", first), PlanStep("alice", second), PlanStep("alice", "CA"))
-            histories = enumerate_histories(model, plan)
+            histories = enumerate_histories(compile_plan(model, plan))
             assert sum(h.probability for h in histories if h.forbidden) == 0
 
 

@@ -6,6 +6,7 @@ include forbidden branches, inadmissible steps and unknown branch keys."""
 
 import gc
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,10 @@ from orthobox.rng import SplitMix64
 from test_properties import MODELS, plans, seer_marginals
 
 TRIALS = 40
+
+
+def compiled_enumeration(model, plan):
+    return enumerate_histories(compile_plan(model, plan))
 
 
 def enumerated(enumerate_, signature, model, plan):
@@ -78,7 +83,7 @@ def assert_matches_reference(build, plan, seed):
     assert leaf_signatures(model, plan, seed) == expected_signatures
     assert sampled(sample_history, history_signature, model, plan, seed) == expected
     expected_enumeration = enumerated(reference.enumerate_histories, reference.signature, ref, plan)
-    assert enumerated(enumerate_histories, history_signature, model, plan) == expected_enumeration
+    assert enumerated(compiled_enumeration, history_signature, model, plan) == expected_enumeration
     if not isinstance(expected_enumeration[0], type):
         assert exact_distribution(model, plan) == expected_enumeration[1]
     # Again, on the nodes the first pass built.
@@ -86,7 +91,7 @@ def assert_matches_reference(build, plan, seed):
     assert leaf_signatures(model, plan, seed) == expected_signatures
     # From scratch, enumerating first.
     model = build()
-    assert enumerated(enumerate_histories, history_signature, model, plan) == expected_enumeration
+    assert enumerated(compiled_enumeration, history_signature, model, plan) == expected_enumeration
     assert sampled(sample_history, history_signature, model, plan, seed) == expected
 
 
@@ -138,13 +143,33 @@ class TestTree:
         rng = SplitMix64(1)
         assert [tree.sample(rng).history for _ in range(200)] == histories
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("seer", "bob A\nalice B\nbob C\nalice C"),  # half the runs are forbidden
+            ("firefly", "alice CA\n  on C: alice BC\nbob AB"),
+            ("lsw", "alice B\n  on full: bob C\n  on empty: bob A"),
+        ],
+    )
+    def test_enumerated_tree_samples_its_own_leaves(self, name, text):
+        # simulate enumerates its tree, then samples the nodes enumeration built.
+        plan = parse_plan(text)
+        tree = compile_plan(make_model(name), plan)
+        enumerated = {id(history) for history in enumerate_histories(tree)}
+        rng, fresh_rng, fresh = SplitMix64(11), SplitMix64(11), compile_plan(make_model(name), plan)
+        leaves = [tree.sample(rng) for _ in range(500)]
+        assert all(id(leaf.history) in enumerated for leaf in leaves)
+        expected = Counter(fresh.sample(fresh_rng).signature for _ in range(500))
+        assert Counter(leaf.signature for leaf in leaves) == expected
+        assert rng.next_u64() == fresh_rng.next_u64()
+
     def test_enumeration_leaves_nothing_behind(self):
         model = make_model("seer")
         plan = parse_plan("alice C\n  on full: alice B\n  on empty: alice A\nbob AB")
         gc.collect()
         gc.disable()  # anything the call leaves alive stays visible
         try:
-            histories = enumerate_histories(model, plan)
+            histories = enumerate_histories(compile_plan(model, plan))
             nodes = [obj for obj in gc.get_objects() if type(obj) is PlanTree and obj.model is model]
         finally:
             gc.enable()
@@ -167,7 +192,7 @@ class TestTree:
         model = make_model("seer")
         plan = parse_plan("alice AB\n  on full,full:\n    bob C\n      on ful: bob A\nbob B")
         assert (("alice", "AB", "full,full"),) not in exact_distribution(model, parse_plan("alice AB"))
-        for run in (lambda: enumerate_histories(model, plan), lambda: sample_history(model, plan, SplitMix64(0))):
+        for run in (lambda: compiled_enumeration(model, plan), lambda: sample_history(model, plan, SplitMix64(0))):
             with pytest.raises(InadmissibleQuery, match="bob C has no outcome 'ful'"):
                 run()
 
@@ -180,7 +205,7 @@ class TestTree:
             tree = compile_plan(model, plan)
             return [tree.sample(SplitMix64(seed)).history for seed in range(20)]
 
-        runs = {"enumerate": lambda model: enumerate_histories(model, plan), "compile and sample": compile_and_sample}
+        runs = {"enumerate": lambda model: compiled_enumeration(model, plan), "compile and sample": compile_and_sample}
         for name, run in runs.items():
             model = make_model("lsw")
             tracemalloc.start()

@@ -68,7 +68,7 @@ def test_enumeration_and_sampling_agree(name, flavor, data, seed):
     model = drawn_model(data, name, flavor)
     plan = data.draw(plans(model, 4), label="plan")
 
-    histories = enumerate_histories(model, plan)
+    histories = enumerate_histories(compile_plan(model, plan))
     assert sum(h.probability for h in histories) == 1
     assert all(h.probability >= 0 for h in histories)
 

@@ -6,7 +6,7 @@ import pytest
 
 from orthobox import cli, protocols
 from orthobox.behavior import chsh, is_pr_box, no_signalling_check
-from orthobox.models import InconsistentHistory, Model, enumerate_histories, make_model
+from orthobox.models import InconsistentHistory, Model, compile_plan, enumerate_histories, make_model
 from orthobox.protocols import (
     AliceStrategy,
     DEFAULT_PAIR_INTERPRETATION,
@@ -186,9 +186,9 @@ class TestAssumptionMatrix:
 
         def counted(model, plan):
             calls.append(tuple(plan))
-            return enumerate_histories(model, plan)
+            return compile_plan(model, plan)
 
-        monkeypatch.setattr(protocols, "enumerate_histories", counted)
+        monkeypatch.setattr(protocols, "compile_plan", counted)
         verdict = assumption_a(make_model(name))
         assert len(calls) == len(set(calls))
         if name == "seer":
@@ -198,7 +198,7 @@ class TestAssumptionMatrix:
     def test_lsw_witness_is_enumerable(self):
         verdict = assumption_a(make_model("lsw"))
         assert not verdict.holds
-        histories = enumerate_histories(make_model("lsw"), verdict.witness.plan)
+        histories = enumerate_histories(compile_plan(make_model("lsw"), verdict.witness.plan))
         assert sum(h.probability for h in histories) == 1
 
     def test_firefly_b_witness_names_missing_single(self):

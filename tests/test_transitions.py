@@ -240,7 +240,7 @@ class TestBranchMass:
     @pytest.mark.parametrize("case", BAD_WEIGHTS)
     def test_step_enumerated(self, case):
         with pytest.raises(BranchMassError, match=MESSAGES[case]):
-            enumerate_histories(Weighted(BAD_WEIGHTS[case]), PLAN)
+            enumerate_histories(compile_plan(Weighted(BAD_WEIGHTS[case]), PLAN))
 
     @pytest.mark.parametrize("case", BAD_WEIGHTS)
     def test_step_sampled(self, case):
@@ -252,13 +252,13 @@ class TestBranchMass:
     def test_prior(self, case):
         model = Weighted([Fraction(1)], prior=BAD_WEIGHTS[case])
         with pytest.raises(BranchMassError, match=f"stub prior: .*{MESSAGES[case]}"):
-            enumerate_histories(model, PLAN)
+            enumerate_histories(compile_plan(model, PLAN))
         with pytest.raises(BranchMassError, match=MESSAGES[case]):
             sample_history(model, PLAN, SplitMix64(0))
 
     def test_message_names_the_step(self):
         with pytest.raises(BranchMassError, match=r"^stub alice A from 0: branch weights sum to 5/6, not 1$"):
-            enumerate_histories(Weighted(BAD_WEIGHTS["below"]), PLAN)
+            enumerate_histories(compile_plan(Weighted(BAD_WEIGHTS["below"]), PLAN))
 
     @pytest.mark.parametrize("case", BAD_WEIGHTS)
     @pytest.mark.parametrize(
