@@ -12,8 +12,10 @@ A plan runs as a tree of ``PlanTree`` nodes rooted at the model's prior:
 unreachable ones included, and returns a fresh tree that nothing else
 keeps.  The caller holds the tree and runs it either way:
 ``enumerate_histories(tree)`` builds every child and no signature, and
-``tree.sample(rng)`` walks one drawn branch per level, exactly one u64 and
-one binary search per step, even a sure one.  The tree is built lazily: a
+``tree.sample(rng)`` walks one drawn branch per level.  Every step takes one
+position of the stream, but only a step with two or more branches mixes a
+u64 and bisects it; a sure step takes branch 0 and its positions are
+skipped in one addition before the next draw.  The tree is built lazily: a
 node holds one cached transition's draw thresholds and builds each child on
 the first visit; a leaf is a ``Leaf`` holding a finished or forbidden
 ``History``, whose signature is filled on its first sample.  So sampling a
@@ -383,12 +385,26 @@ class PlanTree:
         return node
 
     def sample(self, rng: SplitMix64, prior: int | None = None) -> Leaf:
-        """One seeded leaf, one u64 and one binary search per level, with its
-        signature; ``prior`` is the index of an already drawn prior branch."""
+        """One seeded leaf, with its signature; ``prior`` is the index of an
+        already drawn prior branch.  Each level takes one position of the
+        stream: a branching one draws a u64 and bisects it, and a sure one,
+        whose only threshold 2**64 exceeds every u64, takes branch 0 and is
+        skipped, so the stream ends where one draw per level leaves it."""
         node = self if prior is None else self.child(prior)
+        sure = 0  # sure levels since the last draw
         while type(node) is PlanTree:
-            i = bisect_right(node.thresholds, rng.next_u64())
+            thresholds = node.thresholds
+            if len(thresholds) > 1:
+                if sure:
+                    rng.skip(sure)
+                    sure = 0
+                i = bisect_right(thresholds, rng.next_u64())
+            else:
+                sure += 1
+                i = 0
             node = node.children[i] or node.child(i)
+        if sure:
+            rng.skip(sure)
         if node.signature is None:
             node.signature = history_signature(node.history, self.model)
         return node
@@ -432,8 +448,8 @@ def enumerate_histories(root: PlanTree) -> list[History]:
 
 def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:
     """One seeded run of a plan, checked whole before the first draw: one
-    draw for the hidden state, then one per visited step; forbidden queries
-    yield a flagged history, with weight 1."""
+    stream position for the hidden state, then one per visited step;
+    forbidden queries yield a flagged history, with weight 1."""
     leaf = compile_plan(model, plan).sample(rng).history
     return History(leaf.steps, Fraction(1), leaf.forbidden)
 

@@ -90,14 +90,15 @@ def cliques(graph: Graph) -> Iterator[tuple[Label, ...]]:
     yield from extend((), sorted(graph))
 
 
-def find_all_minimal_non_specker(scenario: OrthoScenario) -> list[tuple[Label, ...]]:
+def find_all_minimal_non_specker(scenario: OrthoScenario, graph: Graph) -> list[tuple[Label, ...]]:
     """All pairwise orthogonal sets that are not joint but whose proper subsets are.
 
-    Exhaustive over subsets; fine at desk scale (a dozen propositions or so).
-    Results sorted by cardinality then lexicographically.
+    ``graph`` is the scenario's ``orthogonality_graph``, built once by the
+    caller.  Exhaustive over subsets; fine at desk scale (a dozen
+    propositions or so).  Results sorted by cardinality then lexicographically.
     """
     found = []
-    for clique in cliques(orthogonality_graph(scenario)):
+    for clique in cliques(graph):
         if len(clique) < 3 or scenario.is_joint(clique):
             continue
         # Proper subsets of a clique are cliques; only the maximal proper

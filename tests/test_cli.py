@@ -436,6 +436,35 @@ def test_each_command_runs_only_its_modules(argv, not_run):
     assert modules_not_run(code) == not_run
 
 
+COMMANDS = {
+    "check": ["check", "specker_triple"],
+    "verify_theorem": ["verify-theorem", "--grid", "4"],
+    "simulate": ["simulate", "seer", "--plan", "fable", "--trials", "10"],
+    "fable": ["fable", "--trials", "10"],
+    "assumptions": ["assumptions", "lsw"],
+    "pr_boxes": ["pr-boxes"],
+    "quantum_ref": ["quantum-ref", "--trials", "1"],
+}
+HANDLERS = "sorted(m for m in sys.modules if m.startswith('orthobox.commands.'))"
+
+
+@pytest.mark.parametrize("name", [None, *COMMANDS])
+def test_each_command_compiles_only_its_own_handler(name):
+    code = "import orthobox.cli" + (f"; orthobox.cli.main({COMMANDS[name]!r})" if name else "")
+    assert probe(code, HANDLERS) == ([f"orthobox.commands.{name}"] if name else [])
+
+
+@pytest.mark.parametrize("name", ["simulate", "check"])
+def test_handler_under_python_m_leaves_cli_unimported(name):
+    # Under python -m the CLI runs as __main__; a handler that imported
+    # orthobox.cli would compile and run it a second time.
+    code = (
+        f"import runpy; sys.argv = ['orthobox', *{COMMANDS[name]!r}]\n"
+        "try:\n    runpy.run_module('orthobox.cli', run_name='__main__')\nexcept SystemExit:\n    pass"
+    )
+    assert probe(code, f"({HANDLERS}, 'orthobox.cli' in sys.modules)") == ([f"orthobox.commands.{name}"], False)
+
+
 def test_lazy_binding_keeps_one_module_object():
     # A second behavior or models module would have its own CertificateError
     # or InconsistentHistory, which the CLI's handlers would not catch.

@@ -8,10 +8,12 @@ import gc
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orthobox
 import reference_walker as reference
 from orthobox.models import (
     History,
@@ -23,6 +25,7 @@ from orthobox.models import (
     exact_distribution,
     group_histories,
     history_signature,
+    load_plan,
     make_model,
     parse_plan,
     sample_history,
@@ -162,6 +165,26 @@ class TestTree:
         expected = Counter(fresh.sample(fresh_rng).signature for _ in range(500))
         assert Counter(leaf.signature for leaf in leaves) == expected
         assert rng.next_u64() == fresh_rng.next_u64()
+
+    def test_sure_steps_advance_the_stream_without_drawing(self):
+        # lsw_collapse has five levels, the prior and four steps, and only one
+        # of them branches: a trial draws once and skips the other four.
+        class Counting(SplitMix64):
+            draws = 0
+
+            def next_u64(self):
+                self.draws += 1
+                return super().next_u64()
+
+        plan = load_plan(Path(orthobox.__file__).parent / "data" / "plans" / "lsw_collapse.plan")
+        tree, rng, ref = compile_plan(make_model("lsw"), plan), Counting(9), SplitMix64(9)
+        trials = 300
+        for _ in range(trials):
+            tree.sample(rng)
+        assert rng.draws == trials
+        for _ in range(5 * trials):
+            ref.next_u64()
+        assert rng.next_u64() == ref.next_u64()
 
     def test_enumeration_leaves_nothing_behind(self):
         model = make_model("seer")

@@ -20,6 +20,10 @@ from orthobox.scenario import (
 TRIANGLE_SETS = [["A", "B"], ["B", "C"], ["C", "A"]]
 
 
+def minimal_non_specker(scenario):
+    return find_all_minimal_non_specker(scenario, orthogonality_graph(scenario))
+
+
 def specker_triple():
     """The bundled scenario ``check specker_triple`` loads: three boxes, any
     two orthogonal, no joint triple, every marginal 1/2."""
@@ -43,7 +47,7 @@ def coarse_grain_to_three(scenario: OrthoScenario, minimal_set: Sequence[str]) -
     m = tuple(sorted(minimal_set))
     if len(m) < 3:
         raise ScenarioError(f"need at least 3 propositions to coarse-grain, got {len(m)}")
-    if m not in find_all_minimal_non_specker(scenario):
+    if m not in minimal_non_specker(scenario):
         raise ScenarioError(f"{list(m)} is not a minimal non-Specker set of this scenario")
     if len(m) == 3:
         return scenario, m[2]
@@ -129,30 +133,30 @@ class TestCliques:
 class TestIsSpecker:
     def test_triangle_is_not(self):
         s, _ = specker_triple()
-        assert find_all_minimal_non_specker(s) != []
+        assert minimal_non_specker(s) != []
 
     def test_full_power_set(self):
         s = OrthoScenario.from_sets("ABC", [["A", "B", "C"]])
-        assert find_all_minimal_non_specker(s) == []
+        assert minimal_non_specker(s) == []
 
     def test_four_cycle(self):
         # C4 has no triangles, so pairs alone already form the clique complex.
         s = OrthoScenario.from_sets("ABCD", [["A", "B"], ["B", "C"], ["C", "D"], ["D", "A"]])
-        assert find_all_minimal_non_specker(s) == []
+        assert minimal_non_specker(s) == []
 
 
 class TestMinimalNonSpecker:
     def test_triangle(self):
         s, _ = specker_triple()
-        assert find_all_minimal_non_specker(s) == [("A", "B", "C")]
+        assert minimal_non_specker(s) == [("A", "B", "C")]
 
     def test_full_power_set_none(self):
         s = OrthoScenario.from_sets("ABC", [["A", "B", "C"]])
-        assert find_all_minimal_non_specker(s) == []
+        assert minimal_non_specker(s) == []
 
     def test_five_set(self):
         s = five_set_scenario()
-        assert find_all_minimal_non_specker(s) == [("A1", "A2", "A3", "A4", "A5")]
+        assert minimal_non_specker(s) == [("A1", "A2", "A3", "A4", "A5")]
 
     def test_tie_break_smallest_then_lexicographic(self):
         # Two disjoint triangles; DEF's triple also missing, ABC wins the tie.
@@ -160,7 +164,7 @@ class TestMinimalNonSpecker:
             "ABCDEF",
             [["A", "B"], ["B", "C"], ["C", "A"], ["D", "E"], ["E", "F"], ["F", "D"]],
         )
-        found = find_all_minimal_non_specker(s)
+        found = minimal_non_specker(s)
         assert found == [("A", "B", "C"), ("D", "E", "F")]
 
 
@@ -175,7 +179,7 @@ class TestCoarseGrain:
         s = five_set_scenario()
         out, merged = coarse_grain_to_three(s, ("A1", "A2", "A3", "A4", "A5"))
         assert out.propositions == ("A1", "A2", merged)
-        assert find_all_minimal_non_specker(out) == [("A1", "A2", merged)]
+        assert minimal_non_specker(out) == [("A1", "A2", merged)]
 
     def test_marginals_merge_additively(self):
         mv = MarginalVector(
@@ -200,10 +204,10 @@ class TestCoarseGrain:
         labels = [f"P{i}" for i in range(n)]
         subsets = [[l for l in labels if l != skip] for skip in labels]
         s = OrthoScenario.from_sets(labels, subsets)
-        [m] = find_all_minimal_non_specker(s)
+        [m] = minimal_non_specker(s)
         assert m == tuple(labels)
         out, merged = coarse_grain_to_three(s, m)
-        assert find_all_minimal_non_specker(out) == [tuple(sorted(["P0", "P1", merged]))]
+        assert minimal_non_specker(out) == [tuple(sorted(["P0", "P1", merged]))]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -216,12 +220,12 @@ class TestCoarseGrain:
         extra = data.draw(st.lists(st.sets(st.sampled_from(labels), min_size=2), max_size=4), label="extra")
         assume(not any(set(core) <= e for e in extra))
         s = OrthoScenario.from_sets(labels, [[l for l in core if l != skip] for skip in core] + extra)
-        found = find_all_minimal_non_specker(s)
+        found = minimal_non_specker(s)
         assert tuple(sorted(core)) in found
         for m in found:
             if len(m) >= 4:
                 out, merged = coarse_grain_to_three(s, m)
-                assert tuple(sorted((m[0], m[1], merged))) in find_all_minimal_non_specker(out)
+                assert tuple(sorted((m[0], m[1], merged))) in minimal_non_specker(out)
 
 
 class TestValidation:

@@ -122,6 +122,18 @@ class TestThresholdDraw:
         assert rng.next_u64() == ref.next_u64()
 
 
+class TestSkip:
+    # The stream has period 2**64 (its constant is odd), so skipping 2**64 + 3
+    # positions lands where three draws do.
+    @pytest.mark.parametrize("n, draws", [(0, 0), (1, 1), (5, 5), (TWO64 + 3, 3)])
+    def test_skip_leaves_the_stream_where_draws_would(self, n, draws):
+        skipped, drawn = SplitMix64(7), SplitMix64(7)
+        skipped.skip(n)
+        for _ in range(draws):
+            drawn.next_u64()
+        assert [skipped.next_u64() for _ in range(3)] == [drawn.next_u64() for _ in range(3)]
+
+
 def reachable(model, depth=None):
     """Every (state, admissible query) reachable from the prior through any
     sequence of admissible queries on either side, at most ``depth`` long."""

@@ -45,7 +45,7 @@ def uniform(p: Fraction) -> MarginalVector:
 
 def test_specker_with_independence_number_five():
     scenario = yu_oh()
-    assert find_all_minimal_non_specker(scenario) == []
+    assert find_all_minimal_non_specker(scenario, orthogonality_graph(scenario)) == []
     assert max(map(len, independent_sets(orthogonality_graph(scenario)))) == 5
 
 
