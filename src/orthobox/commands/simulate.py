@@ -20,7 +20,7 @@ def run(args) -> int:
     if not plan:
         raise ValueError(f"{plan_path.name}: plan has no steps")
     tree = models.compile_plan(model, plan)
-    histories = models.enumerate_histories(tree)  # sampling then reuses every node
+    histories = models.enumerate_histories(tree)
     grouped = models.group_histories(histories, lambda h: models.history_signature(h, model))
     source = rng.SplitMix64(args.seed)
     counts = Counter(tree.sample(source).signature for _ in range(args.trials))

@@ -9,17 +9,16 @@ its transitions.
 
 A plan runs as a tree of ``PlanTree`` nodes rooted at the model's prior:
 ``compile_plan`` is the one place a plan is checked, every step once,
-unreachable ones included, and returns a fresh tree that nothing else
-keeps.  The caller holds the tree and runs it either way:
-``enumerate_histories(tree)`` builds every child and no signature, and
-``tree.sample(rng)`` walks one drawn branch per level.  Every step takes one
-position of the stream, but only a step with two or more branches mixes a
-u64 and bisects it; a sure step takes branch 0 and its positions are
-skipped in one addition before the next draw.  The tree is built lazily: a
-node holds one cached transition's draw thresholds and builds each child on
-the first visit; a leaf is a ``Leaf`` holding a finished or forbidden
-``History``, whose signature is filled on its first sample.  So sampling a
-tree that was enumerated or sampled before costs its draws and little else.
+unreachable ones included, and it builds the whole tree, which nothing else
+keeps.  A node holds one cached transition's draw thresholds and its
+children; a leaf is a ``Leaf`` holding a finished or forbidden ``History``,
+whose signature is filled on its first sample.  The caller holds the tree
+and runs it either way: ``enumerate_histories(tree)`` collects every leaf's
+history and no signature, and ``tree.sample(rng)`` walks one drawn branch
+per level.  Every step takes one position of the stream, but only a step
+with two or more branches mixes a u64 and bisects it; a sure step takes
+branch 0 and its positions are skipped in one addition before the next
+draw.
 
 Sessions are single-threaded: queries mutate one session sequentially.
 Distinct sessions are independent.
@@ -343,54 +342,22 @@ def _unlinked(trail: tuple | None) -> tuple:
 
 class PlanTree:
     """A plan compiled against one model, as its root or any node below: the
-    prior (``step`` None) or a reached step, with one cached Transition, the
-    path weight ``num/den`` so far, and per branch a child built on first
-    visit from the pending plan queue; a finished or forbidden child is a Leaf.
-    The queue and the trail of steps taken are linked pairs that a node
-    shares with its parent, so a plan's tree grows linearly with its length."""
+    prior or a reached step's draw thresholds, and per branch a child, a
+    PlanTree or, for a finished or forbidden branch, a Leaf."""
 
-    __slots__ = ("model", "thresholds", "branches", "children", "step", "rest", "trail", "num", "den")
+    __slots__ = ("model", "thresholds", "children")
 
-    def __init__(self, model: Model, rest: tuple | None, transition: Transition | None = None,
-                 step: PlanStep | None = None, trail: tuple | None = None, num: int = 1, den: int = 1):
+    def __init__(self, model: Model, thresholds: tuple[int, ...]):
         self.model = model
-        self.branches, self.thresholds = model.prior if transition is None else transition
-        self.children: list = [None] * len(self.branches)
-        self.step, self.rest, self.trail, self.num, self.den = step, rest, trail, num, den
+        self.thresholds = thresholds
+        self.children: list = []
 
-    def child(self, i: int):
-        """Branch ``i``'s node, built on the first visit."""
-        node = self.children[i]
-        if node is not None:
-            return node
-        outcome, key, state, p = self.branches[i]
-        step, model = self.step, self.model
-        if step is None:
-            queue, trail = self.rest, self.trail
-        else:
-            queue, trail = _linked(step.substeps(key), self.rest), (self.trail, (step.query, outcome))
-        # Integer products, reduced once per leaf: cheaper than a Fraction product per node.
-        num, den = self.num * p.numerator, self.den * p.denominator
-        if queue is None:
-            node = Leaf(History(_unlinked(trail), Fraction(num, den)))
-        else:
-            step, rest = queue
-            try:
-                transition = model.transition(state, step.query)
-            except InconsistentHistory:
-                node = Leaf(History(_unlinked((trail, (step.query, None))), Fraction(num, den), forbidden=True))
-            else:
-                node = PlanTree(model, rest, transition, step, trail, num, den)
-        self.children[i] = node
-        return node
-
-    def sample(self, rng: SplitMix64, prior: int | None = None) -> Leaf:
-        """One seeded leaf, with its signature; ``prior`` is the index of an
-        already drawn prior branch.  Each level takes one position of the
-        stream: a branching one draws a u64 and bisects it, and a sure one,
-        whose only threshold 2**64 exceeds every u64, takes branch 0 and is
-        skipped, so the stream ends where one draw per level leaves it."""
-        node = self if prior is None else self.child(prior)
+    def sample(self, rng: SplitMix64) -> Leaf:
+        """One seeded leaf, with its signature.  Each level takes one position
+        of the stream: a branching one draws a u64 and bisects it, and a sure
+        one, whose only threshold 2**64 exceeds every u64, takes branch 0 and
+        is skipped, so the stream ends where one draw per level leaves it."""
+        node = self
         sure = 0  # sure levels since the last draw
         while type(node) is PlanTree:
             thresholds = node.thresholds
@@ -402,7 +369,7 @@ class PlanTree:
             else:
                 sure += 1
                 i = 0
-            node = node.children[i] or node.child(i)
+            node = node.children[i]
         if sure:
             rng.skip(sure)
         if node.signature is None:
@@ -411,10 +378,13 @@ class PlanTree:
 
 
 def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
-    """A fresh tree for this plan, after checking every step, unreachable
-    ones included: the model must offer its query, and each branch key must
-    be an outcome the query can give.  The caller holds the tree for as
-    long as it enumerates or samples the plan."""
+    """A fresh tree for this plan, built whole after checking every step,
+    unreachable ones included: the model must offer its query, and each
+    branch key must be an outcome the query can give.  A query with no
+    consistent answer ends its branch in a forbidden Leaf.  Nodes are built
+    depth first from a stack, not by recursion, and a frame shares its
+    pending steps and trail, as linked pairs, with its parent's frame, so a
+    long plan's tree grows linearly with its length."""
     plan = tuple(plan)
     for step in plan_steps(plan):
         query = step.query
@@ -423,26 +393,50 @@ def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
             if key not in model.outcome_keys(query):
                 outcomes = "; ".join(model.outcome_keys(query))
                 raise InadmissibleQuery(f"{query.side} {query.target} has no outcome {key!r} ({outcomes})")
-    return PlanTree(model, _linked(plan))
+    root = PlanTree(model, model.prior.thresholds)
+    # A frame per node with children left to build: its branches, the step
+    # that reached it (None at the prior), the steps after it, and its trail
+    # and path weight num/den.
+    stack = [(root, model.prior.branches, None, _linked(plan), None, 1, 1)]
+    while stack:
+        node, branches, step, rest, trail, num, den = stack[-1]
+        i = len(node.children)
+        if i == len(branches):
+            stack.pop()
+            continue
+        outcome, key, state, p = branches[i]
+        if step is not None:
+            rest, trail = _linked(step.substeps(key), rest), (trail, (step.query, outcome))
+        # Integer products, reduced once per leaf: cheaper than a Fraction product per node.
+        num, den = num * p.numerator, den * p.denominator
+        if rest is None:
+            child = Leaf(History(_unlinked(trail), Fraction(num, den)))
+        else:
+            step, rest = rest
+            try:
+                transition = model.transition(state, step.query)
+            except InconsistentHistory:
+                child = Leaf(History(_unlinked((trail, (step.query, None))), Fraction(num, den), forbidden=True))
+            else:
+                child = PlanTree(model, transition.thresholds)
+                stack.append((child, transition.branches, step, rest, trail, num, den))
+        node.children.append(child)
+    return root
 
 
 def enumerate_histories(root: PlanTree) -> list[History]:
     """Exhaustive branch enumeration over hidden variables and outcomes: the
-    histories of the leaves below ``root``, depth first, building every node
-    and no signature.  A stack of (node, next child index) stands in for
-    recursion, so a plan's length is bounded by memory, not by the
-    interpreter's call depth."""
+    histories of the leaves below ``root``, depth first in branch order,
+    with no signature.  A stack stands in for recursion, so a plan's length
+    is bounded by memory, not by the interpreter's call depth."""
     leaves: list[History] = []
-    stack = [(root, 0)]
+    stack = [root]
     while stack:
-        node, i = stack.pop()
-        if i < len(node.children):
-            stack.append((node, i + 1))
-            child = node.child(i)
-            if type(child) is Leaf:
-                leaves.append(child.history)
-            else:
-                stack.append((child, 0))
+        node = stack.pop()
+        if type(node) is Leaf:
+            leaves.append(node.history)
+        else:
+            stack.extend(reversed(node.children))
     return leaves
 
 

@@ -388,7 +388,7 @@ def simulate_fable(trials: int, seed: int = 0, keep_rows: bool = False) -> Fable
         prior = bisect_right(thresholds, rng.next_u64())
         tree, full = trees[2 * rng.randrange(3) + rng.randrange(2)]
         guess_full = rng.randrange(2) == 0
-        leaf = tree.sample(rng, prior)
+        leaf = tree.children[prior].sample(rng)
         score = scores.get(leaf)
         if score is None:
             score = scores[leaf] = _fable_scores(leaf.history, full)

@@ -89,7 +89,7 @@ def assert_matches_reference(build, plan, seed):
     assert enumerated(compiled_enumeration, history_signature, model, plan) == expected_enumeration
     if not isinstance(expected_enumeration[0], type):
         assert exact_distribution(model, plan) == expected_enumeration[1]
-    # Again, on the nodes the first pass built.
+    # Again, with the model's transitions cached by the first pass.
     assert sampled(sample_history, history_signature, model, plan, seed) == expected
     assert leaf_signatures(model, plan, seed) == expected_signatures
     # From scratch, enumerating first.
@@ -139,10 +139,19 @@ class TestTree:
         plan = parse_plan("bob A\nalice B\nbob C\nalice C")
         tree = compile_plan(model, plan)
         rng = SplitMix64(1)
-        histories = [tree.sample(rng).history for _ in range(200)]  # builds the nodes it draws
+        histories = [tree.sample(rng).history for _ in range(200)]
         assert {h.forbidden for h in histories} == {True, False}
         monkeypatch.setattr(model, "transition", None)  # any call would fail
         monkeypatch.setattr(model, "check_admissible", None)
+        rng = SplitMix64(1)
+        assert [tree.sample(rng).history for _ in range(200)] == histories
+        # compile_plan builds every node, so a tree neither enumerated nor
+        # sampled yet reads no transition either.
+        fresh = make_model("seer")
+        tree = compile_plan(fresh, plan)
+        monkeypatch.setattr(fresh, "transition", None)
+        monkeypatch.setattr(fresh, "check_admissible", None)
+        assert enumerate_histories(tree) == enumerate_histories(compile_plan(make_model("seer"), plan))
         rng = SplitMix64(1)
         assert [tree.sample(rng).history for _ in range(200)] == histories
 
@@ -155,7 +164,7 @@ class TestTree:
         ],
     )
     def test_enumerated_tree_samples_its_own_leaves(self, name, text):
-        # simulate enumerates its tree, then samples the nodes enumeration built.
+        # simulate enumerates its tree, then samples the same tree.
         plan = parse_plan(text)
         tree = compile_plan(make_model(name), plan)
         enumerated = {id(history) for history in enumerate_histories(tree)}
@@ -220,7 +229,8 @@ class TestTree:
                 run()
 
     def test_long_sequential_plan_memory_is_linear(self):
-        # A node shares its pending steps and its trail with its parent:
+        # A frame of compile_plan's stack shares its pending steps and its
+        # trail with its parent's:
         # copying them per node made 3,000 steps peak above 100 MB.
         plan = parse_plan("alice A\n" * 3000)
 

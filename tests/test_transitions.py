@@ -52,6 +52,9 @@ class FixedDraw:
     def next_u64(self) -> int:
         return self.u
 
+    def skip(self, n: int) -> None:
+        pass
+
 
 class Weighted(Model):
     """Stub model: the prior and every step branch by the given weights; a
@@ -267,6 +270,18 @@ class TestBranchMass:
             enumerate_histories(compile_plan(model, PLAN))
         with pytest.raises(BranchMassError, match=MESSAGES[case]):
             sample_history(model, PLAN, SplitMix64(0))
+
+    def test_fault_no_draw_reaches(self):
+        # Every draw of 0 takes prior state 0, whose step is sure; compile_plan
+        # still builds state 1's step and rejects its weights.
+        class FaultFromOne(Weighted):
+            def step(self, state, query):
+                weights = BAD_WEIGHTS["below"] if state else [Fraction(1)]
+                return [((("A", i % 2 == 0),), i, w) for i, w in enumerate(weights)]
+
+        model = FaultFromOne(None, prior=[Fraction(1, 2)] * 2)
+        with pytest.raises(BranchMassError, match=r"^stub alice A from 1: branch weights sum to 5/6, not 1$"):
+            compile_plan(model, parse_plan("alice A")).sample(FixedDraw(0))
 
     def test_message_names_the_step(self):
         with pytest.raises(BranchMassError, match=r"^stub alice A from 0: branch weights sum to 5/6, not 1$"):
