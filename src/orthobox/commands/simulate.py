@@ -21,9 +21,14 @@ def run(args) -> int:
         raise ValueError(f"{plan_path.name}: plan has no steps")
     tree = models.compile_plan(model, plan)
     histories = models.enumerate_histories(tree)
-    grouped = models.group_histories(histories, lambda h: models.history_signature(h, model))
+    labels = [models.history_signature(h, model) for h in histories]
+    grouped: dict = {}
+    for label, history in zip(labels, histories):
+        grouped[label] = grouped.get(label, Fraction(0)) + history.probability
     source = rng.SplitMix64(args.seed)
-    counts = Counter(tree.sample(source).signature for _ in range(args.trials))
+    counts: Counter = Counter()
+    for i, n in Counter(tree.sample(source) for _ in range(args.trials)).items():
+        counts[labels[i]] += n
 
     print(f"model: {model.name}" + (f" ({args.flavor})" if args.model == "firefly" else ""))
     print(f"plan: {plan_path.stem} ({len(histories)} branches, {len(grouped)} distinct outcomes)")

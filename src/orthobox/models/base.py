@@ -11,14 +11,15 @@ A plan runs as a tree of ``PlanTree`` nodes rooted at the model's prior:
 ``compile_plan`` is the one place a plan is checked, every step once,
 unreachable ones included, and it builds the whole tree, which nothing else
 keeps.  A node holds one cached transition's draw thresholds and its
-children; a leaf is a ``Leaf`` holding a finished or forbidden ``History``,
-whose signature is filled on its first sample.  The caller holds the tree
-and runs it either way: ``enumerate_histories(tree)`` collects every leaf's
-history and no signature, and ``tree.sample(rng)`` walks one drawn branch
-per level.  Every step takes one position of the stream, but only a step
-with two or more branches mixes a u64 and bisects it; a sure step takes
-branch 0 and its positions are skipped in one addition before the next
-draw.
+children; a finished or forbidden branch is an index into the list of
+``History`` objects that every node of the tree shares, in depth-first
+branch order.  The caller holds the tree and runs it either way:
+``enumerate_histories(tree)`` returns the tree's own list, which no caller
+modifies, and ``tree.sample(rng)`` walks one drawn branch per level and
+returns the index it reaches, writing nothing to the tree.  Every step
+takes one position of the stream, but only a step with two or more
+branches mixes a u64 and bisects it; a sure step takes branch 0 and its
+positions are skipped in one addition before the next draw.
 
 Sessions are single-threaded: queries mutate one session sequentially.
 Distinct sessions are independent.
@@ -245,6 +246,8 @@ def parse_plan(text: str, source: str = "<plan>") -> Plan:
         if not stripped.strip():
             continue
         indent = len(stripped) - len(stripped.lstrip())
+        if "\t" in stripped[:indent]:
+            raise ValueError(f"{source}:{lineno}: indentation must be spaces, not tabs")
         if indent % 2:
             raise ValueError(f"{source}:{lineno}: indentation must be a multiple of two spaces")
         rows.append((lineno, indent // 2, stripped.strip()))
@@ -313,17 +316,6 @@ class History(NamedTuple):
     forbidden: bool = False
 
 
-class Leaf:
-    """A finished or forbidden branch of a compiled plan: its ``History``,
-    with its path weight, and its signature, filled on its first sample."""
-
-    __slots__ = ("history", "signature")
-
-    def __init__(self, history: History):
-        self.history = history
-        self.signature: tuple | None = None
-
-
 def _linked(steps: tuple, rest: tuple | None = None) -> tuple | None:
     """``steps`` pushed in front of a queue of linked ``(step, rest)`` pairs."""
     for step in reversed(steps):
@@ -343,20 +335,22 @@ def _unlinked(trail: tuple | None) -> tuple:
 class PlanTree:
     """A plan compiled against one model, as its root or any node below: the
     prior or a reached step's draw thresholds, and per branch a child, a
-    PlanTree or, for a finished or forbidden branch, a Leaf."""
+    PlanTree or, for a finished or forbidden branch, an int, the index of its
+    ``History`` in ``histories``, the list the whole tree shares."""
 
-    __slots__ = ("model", "thresholds", "children")
+    __slots__ = ("histories", "thresholds", "children")
 
-    def __init__(self, model: Model, thresholds: tuple[int, ...]):
-        self.model = model
+    def __init__(self, histories: list[History], thresholds: tuple[int, ...]):
+        self.histories = histories
         self.thresholds = thresholds
         self.children: list = []
 
-    def sample(self, rng: SplitMix64) -> Leaf:
-        """One seeded leaf, with its signature.  Each level takes one position
-        of the stream: a branching one draws a u64 and bisects it, and a sure
-        one, whose only threshold 2**64 exceeds every u64, takes branch 0 and
-        is skipped, so the stream ends where one draw per level leaves it."""
+    def sample(self, rng: SplitMix64) -> int:
+        """The index in ``histories`` of one seeded leaf.  Each level takes one
+        position of the stream: a branching one draws a u64 and bisects it,
+        and a sure one, whose only threshold 2**64 exceeds every u64, takes
+        branch 0 and is skipped, so the stream ends where one draw per level
+        leaves it."""
         node = self
         sure = 0  # sure levels since the last draw
         while type(node) is PlanTree:
@@ -372,8 +366,6 @@ class PlanTree:
             node = node.children[i]
         if sure:
             rng.skip(sure)
-        if node.signature is None:
-            node.signature = history_signature(node.history, self.model)
         return node
 
 
@@ -381,10 +373,12 @@ def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
     """A fresh tree for this plan, built whole after checking every step,
     unreachable ones included: the model must offer its query, and each
     branch key must be an outcome the query can give.  A query with no
-    consistent answer ends its branch in a forbidden Leaf.  Nodes are built
-    depth first from a stack, not by recursion, and a frame shares its
-    pending steps and trail, as linked pairs, with its parent's frame, so a
-    long plan's tree grows linearly with its length."""
+    consistent answer ends its branch in a forbidden History.  Each finished
+    or forbidden branch's History is appended to the tree's one
+    ``histories`` list, depth first in branch order, and its index is the
+    leaf.  Nodes are built from a stack, not by recursion, and a frame
+    shares its pending steps and trail, as linked pairs, with its parent's
+    frame, so a long plan's tree grows linearly with its length."""
     plan = tuple(plan)
     for step in plan_steps(plan):
         query = step.query
@@ -393,7 +387,8 @@ def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
             if key not in model.outcome_keys(query):
                 outcomes = "; ".join(model.outcome_keys(query))
                 raise InadmissibleQuery(f"{query.side} {query.target} has no outcome {key!r} ({outcomes})")
-    root = PlanTree(model, model.prior.thresholds)
+    histories: list[History] = []
+    root = PlanTree(histories, model.prior.thresholds)
     # A frame per node with children left to build: its branches, the step
     # that reached it (None at the prior), the steps after it, and its trail
     # and path weight num/den.
@@ -409,42 +404,35 @@ def compile_plan(model: Model, plan: Iterable[PlanStep]) -> PlanTree:
             rest, trail = _linked(step.substeps(key), rest), (trail, (step.query, outcome))
         # Integer products, reduced once per leaf: cheaper than a Fraction product per node.
         num, den = num * p.numerator, den * p.denominator
+        child = len(histories)  # the index of a leaf appended below
         if rest is None:
-            child = Leaf(History(_unlinked(trail), Fraction(num, den)))
+            histories.append(History(_unlinked(trail), Fraction(num, den)))
         else:
             step, rest = rest
             try:
                 transition = model.transition(state, step.query)
             except InconsistentHistory:
-                child = Leaf(History(_unlinked((trail, (step.query, None))), Fraction(num, den), forbidden=True))
+                histories.append(History(_unlinked((trail, (step.query, None))), Fraction(num, den), forbidden=True))
             else:
-                child = PlanTree(model, transition.thresholds)
+                child = PlanTree(histories, transition.thresholds)
                 stack.append((child, transition.branches, step, rest, trail, num, den))
         node.children.append(child)
     return root
 
 
-def enumerate_histories(root: PlanTree) -> list[History]:
+def enumerate_histories(tree: PlanTree) -> list[History]:
     """Exhaustive branch enumeration over hidden variables and outcomes: the
-    histories of the leaves below ``root``, depth first in branch order,
-    with no signature.  A stack stands in for recursion, so a plan's length
-    is bounded by memory, not by the interpreter's call depth."""
-    leaves: list[History] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if type(node) is Leaf:
-            leaves.append(node.history)
-        else:
-            stack.extend(reversed(node.children))
-    return leaves
+    tree's own ``histories`` list, every leaf of the plan depth first in
+    branch order.  No caller modifies it."""
+    return tree.histories
 
 
 def sample_history(model: Model, plan: Iterable[PlanStep], rng: SplitMix64) -> History:
     """One seeded run of a plan, checked whole before the first draw: one
     stream position for the hidden state, then one per visited step;
     forbidden queries yield a flagged history, with weight 1."""
-    leaf = compile_plan(model, plan).sample(rng).history
+    tree = compile_plan(model, plan)
+    leaf = tree.histories[tree.sample(rng)]
     return History(leaf.steps, Fraction(1), leaf.forbidden)
 
 

@@ -379,19 +379,19 @@ def simulate_fable(trials: int, seed: int = 0, keep_rows: bool = False) -> Fable
         raise ValueError("need at least one trial")
     rng = SplitMix64(seed)
     model = make_model("seer")
-    trees = [(compile_plan(model, _fable_plan(pair, full)), full) for pair in PAIRS for full in pair]
+    # Per plan: its tree, Daniel's full box and a score memo keyed by history index.
+    trees = [(compile_plan(model, _fable_plan(pair, full)), full, {}) for pair in PAIRS for full in pair]
     thresholds = model.prior.thresholds
-    scores: dict = {}
     daniel_ok = sandu_first_ok = sandu_second_ok = 0
     rows = []
     for trial in range(trials):
         prior = bisect_right(thresholds, rng.next_u64())
-        tree, full = trees[2 * rng.randrange(3) + rng.randrange(2)]
+        tree, full, scores = trees[2 * rng.randrange(3) + rng.randrange(2)]
         guess_full = rng.randrange(2) == 0
         leaf = tree.children[prior].sample(rng)
         score = scores.get(leaf)
         if score is None:
-            score = scores[leaf] = _fable_scores(leaf.history, full)
+            score = scores[leaf] = _fable_scores(tree.histories[leaf], full)
         third_full, second_ok, this_daniel_ok = score
         first_ok = guess_full == third_full
         daniel_ok += this_daniel_ok

@@ -28,6 +28,7 @@ from orthobox.models import (
     compile_plan,
     enumerate_histories,
     exact_distribution,
+    history_signature,
     make_model,
     parse_plan,
 )
@@ -295,10 +296,11 @@ EXTRA_PLANS = {
 def sampling_matches(model, plan, n, seed) -> bool:
     exact = exact_distribution(model, plan)
     tree = compile_plan(model, plan)  # the path ``simulate --trials`` samples
+    labels = [history_signature(h, model) for h in tree.histories]
     rng = SplitMix64(seed)
     counts: dict[tuple, int] = {}
     for _ in range(n):
-        sig = tree.sample(rng).signature
+        sig = labels[tree.sample(rng)]
         counts[sig] = counts.get(sig, 0) + 1
     if set(counts) - set(exact):
         return False

@@ -118,6 +118,16 @@ class TestSimulate:
         assert code == 2
         assert "duplicate" in err
 
+    @pytest.mark.parametrize("branch", ["\t\ton full:\n\t\t\t\talice B", "\ton full: alice B", "  \ton full: alice B"])
+    def test_tab_in_indentation_is_input_error(self, capsys, tmp_path, branch):
+        # Two tabs once counted as two spaces, so this plan ran and exited 0.
+        plan = tmp_path / "tab.plan"
+        plan.write_text(f"alice C\n{branch}\n")
+        code, out, err = run(capsys, "simulate", "lsw", "--plan", str(plan))
+        assert code == 2
+        assert out == ""
+        assert "tab.plan:2: indentation must be spaces, not tabs" in err
+
     def test_plan_without_steps_is_input_error(self, capsys, tmp_path):
         plan = tmp_path / "blank.plan"
         plan.write_text("# only a comment\n\n   \n")

@@ -10,6 +10,7 @@ from orthobox.models import (
     compile_plan,
     enumerate_histories,
     exact_distribution,
+    history_signature,
     make_model,
     parse_plan,
     sample_history,
@@ -185,9 +186,10 @@ class TestSampling:
         n = 4000
         rng = SplitMix64(2024)
         tree = compile_plan(model, plan)
+        labels = [history_signature(h, model) for h in tree.histories]
         counts = {}
         for _ in range(n):
-            sig = tree.sample(rng).signature
+            sig = labels[tree.sample(rng)]
             counts[sig] = counts.get(sig, 0) + 1
         assert set(counts) <= set(exact)
         for sig, p in exact.items():
@@ -218,6 +220,6 @@ class TestSampling:
         plan = parse_plan("bob A\nalice B\nbob C\nalice C")
         rng = SplitMix64(9)
         tree = compile_plan(model, plan)
-        flags = [tree.sample(rng).history.forbidden for _ in range(200)]
+        flags = [tree.histories[tree.sample(rng)].forbidden for _ in range(200)]
         rate = sum(flags) / len(flags)
         assert 0.35 < rate < 0.65  # exact forbidden mass is 1/2

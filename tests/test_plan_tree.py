@@ -6,7 +6,7 @@ include forbidden branches, inadmissible steps and unknown branch keys."""
 
 import gc
 import tracemalloc
-from collections import Counter
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,11 +72,12 @@ def signatures(result):
 
 
 def leaf_signatures(model, plan, seed):
-    """``sampled`` through each compiled leaf's own signature, the path ``simulate --trials`` runs."""
+    """``sampled`` through each sampled index's label, the path ``simulate --trials`` runs."""
     def sample(model, plan, rng):
-        return compile_plan(model, plan).sample(rng)
+        tree = compile_plan(model, plan)
+        return [history_signature(h, model) for h in tree.histories][tree.sample(rng)]
 
-    return signatures(sampled(sample, lambda leaf, _: leaf.signature, model, plan, seed))
+    return signatures(sampled(sample, lambda label, _: label, model, plan, seed))
 
 
 def assert_matches_reference(build, plan, seed):
@@ -139,12 +140,12 @@ class TestTree:
         plan = parse_plan("bob A\nalice B\nbob C\nalice C")
         tree = compile_plan(model, plan)
         rng = SplitMix64(1)
-        histories = [tree.sample(rng).history for _ in range(200)]
+        histories = [tree.histories[tree.sample(rng)] for _ in range(200)]
         assert {h.forbidden for h in histories} == {True, False}
         monkeypatch.setattr(model, "transition", None)  # any call would fail
         monkeypatch.setattr(model, "check_admissible", None)
         rng = SplitMix64(1)
-        assert [tree.sample(rng).history for _ in range(200)] == histories
+        assert [tree.histories[tree.sample(rng)] for _ in range(200)] == histories
         # compile_plan builds every node, so a tree neither enumerated nor
         # sampled yet reads no transition either.
         fresh = make_model("seer")
@@ -153,7 +154,7 @@ class TestTree:
         monkeypatch.setattr(fresh, "check_admissible", None)
         assert enumerate_histories(tree) == enumerate_histories(compile_plan(make_model("seer"), plan))
         rng = SplitMix64(1)
-        assert [tree.sample(rng).history for _ in range(200)] == histories
+        assert [tree.histories[tree.sample(rng)] for _ in range(200)] == histories
 
     @pytest.mark.parametrize(
         "name, text",
@@ -167,12 +168,13 @@ class TestTree:
         # simulate enumerates its tree, then samples the same tree.
         plan = parse_plan(text)
         tree = compile_plan(make_model(name), plan)
-        enumerated = {id(history) for history in enumerate_histories(tree)}
+        histories = enumerate_histories(tree)
+        assert histories is tree.histories
         rng, fresh_rng, fresh = SplitMix64(11), SplitMix64(11), compile_plan(make_model(name), plan)
-        leaves = [tree.sample(rng) for _ in range(500)]
-        assert all(id(leaf.history) in enumerated for leaf in leaves)
-        expected = Counter(fresh.sample(fresh_rng).signature for _ in range(500))
-        assert Counter(leaf.signature for leaf in leaves) == expected
+        indices = [tree.sample(rng) for _ in range(500)]
+        assert set(indices) <= set(range(len(histories)))
+        assert [fresh.sample(fresh_rng) for _ in range(500)] == indices
+        assert fresh.histories == histories
         assert rng.next_u64() == fresh_rng.next_u64()
 
     def test_sure_steps_advance_the_stream_without_drawing(self):
@@ -202,10 +204,41 @@ class TestTree:
         gc.disable()  # anything the call leaves alive stays visible
         try:
             histories = enumerate_histories(compile_plan(model, plan))
-            nodes = [obj for obj in gc.get_objects() if type(obj) is PlanTree and obj.model is model]
+            nodes = [obj for obj in gc.get_objects() if type(obj) is PlanTree and obj.histories is histories]
         finally:
             gc.enable()
         assert histories and not nodes
+
+    def test_tree_keeps_no_model_alive(self):
+        plan = parse_plan("bob A\nalice B\nbob C\nalice C")
+        model = make_model("seer")
+        tree, alive = compile_plan(model, plan), weakref.ref(model)
+        rng = SplitMix64(5)
+        indices = [tree.sample(rng) for _ in range(200)]
+        del model
+        gc.collect()
+        assert alive() is None
+        rng = SplitMix64(5)
+        assert [tree.sample(rng) for _ in range(200)] == indices
+
+    def test_sampling_writes_nothing_to_the_tree(self):
+        tree = compile_plan(make_model("firefly"), parse_plan("alice CA\n  on C: alice BC\nbob AB"))
+
+        def snapshot():
+            nodes, stack = [], [tree]
+            while stack:
+                node = stack.pop()
+                nodes.append((node, node.thresholds, list(node.children)))
+                stack.extend(child for child in node.children if type(child) is PlanTree)
+            return nodes, list(tree.histories)
+
+        before = snapshot()
+        rng = SplitMix64(13)
+        for _ in range(1000):
+            tree.sample(rng)
+        after = snapshot()
+        assert after == before
+        assert all(a is b for a, b in zip(after[1], before[1]))
 
     def test_sampled_history_has_weight_one(self):
         model = make_model("lsw")
@@ -236,7 +269,7 @@ class TestTree:
 
         def compile_and_sample(model):
             tree = compile_plan(model, plan)
-            return [tree.sample(SplitMix64(seed)).history for seed in range(20)]
+            return [tree.histories[tree.sample(SplitMix64(seed))] for seed in range(20)]
 
         runs = {"enumerate": lambda model: compiled_enumeration(model, plan), "compile and sample": compile_and_sample}
         for name, run in runs.items():

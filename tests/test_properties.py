@@ -91,6 +91,7 @@ def test_sampled_frequencies_match_exact(name, flavor, data, seed):
     model = drawn_model(data, name, flavor)
     plan = data.draw(plans(model, 4), label="plan")
     n, rng, tree = 1000, SplitMix64(seed), compile_plan(model, plan)
-    counts = Counter(tree.sample(rng).signature for _ in range(n))
+    labels = [history_signature(h, model) for h in tree.histories]
+    counts = Counter(labels[tree.sample(rng)] for _ in range(n))
     for sig, p in exact_distribution(model, plan).items():
         assert abs(counts[sig] - n * p) <= 5 * math.sqrt(n * p * (1 - p)) + 1

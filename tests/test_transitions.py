@@ -207,7 +207,7 @@ class TestForbiddenHits:
         plan = parse_plan(self.PLAN)
         rng = SplitMix64(9)
         tree = compile_plan(model, plan)
-        histories = [tree.sample(rng).history for _ in range(5000)]
+        histories = [tree.histories[tree.sample(rng)] for _ in range(5000)]
         # Both figures as recorded before the cache existed: 2446 forbidden
         # runs, and the stream continuing at the same draw.
         assert sum(h.forbidden for h in histories) == 2446
