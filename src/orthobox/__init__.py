@@ -9,10 +9,32 @@ firefly boxes, collapse boxes) that each give up exactly one of the three
 assumptions.  The box realizations built from the models saturate the CHSH
 expression at 4.
 
-The package root exports only the model names, which the CLI's parser
-reads without loading the models: import everything else from the modules.
+The package root exports the model names, which the CLI's parser reads
+without loading the models, and the fault types, which every module raises
+and the CLI maps to exit 1 without loading the module that raised them:
+import everything else from the modules.
 """
 
 __version__ = "0.1.0"
 
 MODEL_NAMES = ("seer", "firefly", "lsw")
+
+
+class Fault(RuntimeError):
+    """A check the program makes on itself failed; ``label`` names the kind."""
+    label = "fault"
+
+
+class InconsistentHistory(Fault):
+    """No box contents can satisfy all constraints accumulated so far."""
+    label = "inconsistent history"
+
+
+class BranchMassError(Fault):
+    """A model gave a negative branch weight, or weights not summing to 1 (a model fault)."""
+    label = "model fault"
+
+
+class CertificateError(Fault):
+    """A feasibility verdict whose own certificate does not hold (a solver fault)."""
+    label = "certificate check failed"

@@ -18,7 +18,7 @@ from itertools import product
 from math import lcm
 from typing import Hashable, Mapping, NamedTuple
 
-from . import linprog, scenario
+from . import CertificateError, linprog, scenario
 from .rational import check_probability, format_rational
 
 Outcome = Hashable
@@ -28,10 +28,6 @@ PLUS, MINUS = 1, -1
 
 class BehaviorError(ValueError):
     """Malformed or wrongly shaped behavior table."""
-
-
-class CertificateError(RuntimeError):
-    """A feasibility verdict whose own certificate does not hold (a solver fault)."""
 
 
 class BehaviorTable(namedtuple("BehaviorTable", "settings outcomes table")):

@@ -8,21 +8,27 @@ the per-model battery, ``pr-boxes`` reports box realizations, and
 ``quantum-ref`` runs the matrix reference checks.  Each command's body is
 ``run(args)`` in its own ``orthobox.commands`` module, imported only when
 the command is parsed.  This module runs no library module: the parser's
-model names come from the package root, and the library modules are bound
-lazily, so each call runs only the modules its command uses.
+model names and the fault types come from the package root, and the
+library modules are bound lazily, so each call runs only the modules its
+command uses.  ``--flavor`` applies only to the firefly model.
 
-Exit codes: 0 success, 1 a check or assertion failed, 2 bad input.  Output
-is byte-identical for identical inputs and seeds; set ORTHOBOX_COLOR=1 for
-ANSI colors (0 or unset keeps output plain).
+Exit codes: 0 success; 1 a check failed, a fault (printed with its label,
+such as "certificate check failed: ..."), or a closed stdout (printing
+nothing more); 2 bad input.  Output is byte-identical for identical inputs
+and seeds; set ORTHOBOX_COLOR=1 for ANSI colors (0 or unset keeps output
+plain).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
+import os
 import sys
 
-from . import MODEL_NAMES
+from . import MODEL_NAMES, Fault
 
 
 def _lazy(name: str):
@@ -81,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[seeded], help="run a query plan against a model")
     p.add_argument("model", choices=MODEL_NAMES)
     p.add_argument("--plan", required=True, help="plan file (bundled: fable, lsw_collapse, firefly_ca_bc)")
-    p.add_argument("--flavor", default="mirror", help="firefly flavor")
+    p.add_argument("--flavor", help="firefly flavor")
     p.add_argument("--trials", type=nonnegative_int, default=0, help="also sample this many runs")
 
     p = sub.add_parser("fable", parents=[seeded], help="run the prophecy game on the retrocausal boxes")
@@ -90,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("assumptions", help="evaluate the three assumptions per model")
     p.add_argument("model", choices=(*MODEL_NAMES, "all", "firefly-variants"))
-    p.add_argument("--flavor", default="mirror")
+    p.add_argument("--flavor")
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("pr-boxes", help="canonical boxes, or a model's box realization")
     p.add_argument("--model", choices=MODEL_NAMES)
-    p.add_argument("--flavor", default="mirror")
+    p.add_argument("--flavor")
 
     p = sub.add_parser("quantum-ref", parents=[seeded], help="run the complex-matrix reference checks")
     p.add_argument("--trials", type=nonnegative_int, default=100)
@@ -107,20 +113,28 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "flavor" in args:  # None unless given, so that one given for another model is refused
+        if args.flavor is None:
+            args.flavor = "mirror"
+        elif args.model != "firefly":
+            parser.error("--flavor applies only to the firefly model")
     command = importlib.import_module(f"{__package__}.commands.{args.command.replace('-', '_')}")
     try:
-        return command.run(args)
+        code = command.run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: as the signal module's docs advise, point
+        # it at devnull so that the flush at exit cannot fail again.
+        with contextlib.suppress(io.UnsupportedOperation):  # an in-process caller's StringIO
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except models.InconsistentHistory as exc:
-        print(f"inconsistent history: {exc}", file=sys.stderr)
-        return 1
-    except models.BranchMassError as exc:
-        print(f"model fault: {exc}", file=sys.stderr)
-        return 1
-    except behavior.CertificateError as exc:
-        print(f"certificate check failed: {exc}", file=sys.stderr)
+    except Fault as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -30,7 +30,7 @@ def run(args) -> int:
     for i, n in Counter(tree.sample(source) for _ in range(args.trials)).items():
         counts[labels[i]] += n
 
-    print(f"model: {model.name}" + (f" ({args.flavor})" if args.model == "firefly" else ""))
+    print(f"model: {model.name}" + (f" ({model.flavor})" if args.model == "firefly" else ""))
     print(f"plan: {plan_path.stem} ({len(histories)} branches, {len(grouped)} distinct outcomes)")
     header = "probability  outcome"
     if args.trials:

@@ -33,6 +33,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from . import Fault
+
 
 def feasible_combination(
     columns: Sequence[Sequence[int]], target: Sequence[Fraction]
@@ -77,7 +79,7 @@ def feasible_combination(
             if d[i] > 0 and (r is None or (beta[i] * d[r], basis[i]) < (beta[r] * d[i], basis[r])):
                 r = i
         if r is None:
-            raise RuntimeError("phase-1 objective unbounded; cannot happen")
+            raise Fault("phase-1 objective unbounded; cannot happen")
         p = d[r]
         pivot, pivot_beta = inverse[r], beta[r]
         # Every row but the pivot row scales by p / D, so one with d_i = 0

@@ -35,6 +35,7 @@ from itertools import product
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
+from .. import BranchMassError, InconsistentHistory
 from ..rng import SplitMix64
 
 ALICE, BOB = "alice", "bob"
@@ -46,16 +47,8 @@ TARGETS = BOXES + PAIRS
 Outcome = tuple[tuple[str, bool], ...]
 
 
-class InconsistentHistory(RuntimeError):
-    """No box contents can satisfy all constraints accumulated so far."""
-
-
 class InadmissibleQuery(ValueError):
     """The model does not offer this measurement."""
-
-
-class BranchMassError(RuntimeError):
-    """A model gave a negative branch weight, or weights not summing to 1 (a model fault)."""
 
 
 # Every accepted spelling of a target, mapped to its canonical name.

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -303,6 +304,60 @@ def test_bad_input_leaves_no_output_file(capsys, tmp_path, argv, message):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "seer", "--plan", "fable", "--flavor", "bogus"),
+        ("simulate", "lsw", "--plan", "lsw_collapse", "--flavor", "mirror"),
+        ("pr-boxes", "--model", "lsw", "--flavor", "alice_cuts_bob_local"),
+        ("pr-boxes", "--flavor", "mirror"),
+        ("assumptions", "all", "--flavor", "bogus"),
+        ("assumptions", "firefly-variants", "--flavor", "mirror"),
+    ],
+    ids=["simulate-seer", "simulate-lsw", "pr-boxes-lsw", "pr-boxes-canonical", "assumptions-all", "assumptions-variants"],
+)
+def test_flavor_for_another_model_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.endswith("error: --flavor applies only to the firefly model\n")
+
+
+FAULTS = [orthobox.Fault, orthobox.InconsistentHistory, orthobox.BranchMassError, orthobox.CertificateError]
+
+
+class TestFaults:
+    @pytest.mark.parametrize("fault", FAULTS, ids=lambda fault: fault.__name__)
+    def test_fault_exits_one_with_its_label(self, capsys, monkeypatch, fault):
+        def run_faulty(args):
+            print("partial")
+            raise fault("the message")
+
+        monkeypatch.setattr(importlib.import_module("orthobox.commands.fable"), "run", run_faulty)
+        code, out, err = run(capsys, "fable")
+        assert (code, out, err) == (1, "partial\n", f"{fault.label}: the message\n")
+
+    def test_labels_and_homes(self):
+        assert [fault.label for fault in FAULTS] == [
+            "fault", "inconsistent history", "model fault", "certificate check failed",
+        ]
+        assert all(issubclass(fault, RuntimeError) for fault in FAULTS)
+        # The modules that raise them re-export the package root's classes.
+        assert orthobox.models.InconsistentHistory is orthobox.InconsistentHistory
+        assert orthobox.models.BranchMassError is orthobox.BranchMassError
+        assert orthobox.behavior.CertificateError is orthobox.CertificateError
+
+    def test_other_runtime_error_propagates(self, monkeypatch):
+        def run_broken(args):
+            raise RuntimeError("not a fault")
+
+        monkeypatch.setattr(importlib.import_module("orthobox.commands.fable"), "run", run_broken)
+        with pytest.raises(RuntimeError, match="not a fault"):
+            main(["fable"])
+
+
 class TestHelpAndColor:
     # The parser's model names come from the package root, not from the
     # models; these pin its printed text byte for byte, at a fixed width, as
@@ -374,12 +429,16 @@ options:
         assert "\x1b[" not in plain
 
 
+def child_env() -> dict:
+    """The environment for a child interpreter that imports this orthobox."""
+    src = str(Path(orthobox.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def probe(code: str, expression: str):
     """The value of ``expression`` after a fresh interpreter runs ``code``."""
-    src = str(Path(orthobox.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     script = f"import sys\n{code}\nprint(repr({expression}))"
-    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, check=True)
     return ast.literal_eval(result.stdout.strip().splitlines()[-1])
 
 
@@ -476,13 +535,51 @@ def test_handler_under_python_m_leaves_cli_unimported(name):
 
 
 def test_lazy_binding_keeps_one_module_object():
-    # A second behavior or models module would have its own CertificateError
-    # or InconsistentHistory, which the CLI's handlers would not catch.
+    # A second behavior or models module would be a second copy of its
+    # functions, which a patch of the CLI's binding would not reach.
     for name in ("behavior", "models"):
         code = f"import orthobox.{name} as first; import orthobox.cli"
         assert probe(code, f"orthobox.cli.{name} is first is sys.modules['orthobox.{name}'] is orthobox.{name}")
         # Imported the other way round, the package attribute is set as a plain import sets it.
         assert probe(f"import orthobox.cli, orthobox.{name}", f"orthobox.{name} is orthobox.cli.{name}")
+
+
+def test_failed_certificate_loads_no_model_code():
+    # main() classifies a fault by the package root's classes, so a failed
+    # certificate in check runs neither models nor anything it imports.
+    script = (
+        "import contextlib, io\n"
+        "from orthobox import cli, linprog\n"
+        "solve = linprog.feasible_combination\n"
+        "def corrupted(columns, target):\n"
+        "    solution, y = solve(columns, target)\n"
+        "    return solution, tuple(-c for c in y)\n"
+        "linprog.feasible_combination = corrupted\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "    code = cli.main(['check', 'specker_triple'])"
+    )
+    code, err, loaded = probe(script, "(code, err.getvalue(), 'orthobox.models.base' in sys.modules)")
+    assert (code, loaded) == (1, False)
+    assert err == "certificate check failed: separating functional is not positive at the marginals\n"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_one_quietly(unbuffered):
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # no reader, so the child's first write to stdout fails
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "orthobox.cli", "verify-theorem", "--grid", "6"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (1, b"")
 
 
 def test_library_modules_load_only_their_imports():
