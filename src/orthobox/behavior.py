@@ -96,18 +96,15 @@ def check_exclusivity(marginals: scenario.MarginalVector, graph: scenario.Graph)
     """Probabilities of pairwise orthogonal propositions must sum to at most 1.
 
     Checks every maximal clique (sums over sub-cliques are dominated); on
-    failure reports the lexicographically first violating maximal clique.
+    failure reports the lexicographically first violating maximal clique,
+    the first that the walk of ``scenario.cliques`` meets.
     """
-    violations = []
     for clique in scenario.cliques(graph):
         total = sum((marginals[v] for v in clique), Fraction(0))
         # Maximal: no proposition is orthogonal to every member.
         if total > 1 and not any(all(v in graph[u] for v in clique) for u in graph):
-            violations.append((clique, total))
-    if not violations:
-        return ExclusivityResult(True, None, None)
-    clique, total = min(violations)
-    return ExclusivityResult(False, clique, total)
+            return ExclusivityResult(False, clique, total)
+    return ExclusivityResult(True, None, None)
 
 
 class FeasibilityCertificate(NamedTuple):

@@ -285,15 +285,17 @@ def parse_plan(text: str, source: str = "<plan>") -> Plan:
             steps.append(make_step(lineno, side, target, branches))
         return steps, pos
 
-    steps, pos = parse_steps(0, 0)
-    if pos != len(rows):
-        raise ValueError(f"{source}:{rows[pos][0]}: unexpected indentation")
+    steps, _ = parse_steps(0, 0)
     return tuple(steps)
 
 
 def load_plan(path: str | Path) -> Plan:
     path = Path(path)
-    return parse_plan(path.read_text(), source=path.name)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name}: {exc}") from exc
+    return parse_plan(text, source=path.name)
 
 
 class History(NamedTuple):

@@ -369,30 +369,32 @@ def simulate_fable(trials: int, seed: int = 0, keep_rows: bool = False) -> Fable
     first and then picks his second box so that its forced content makes
     Daniel's prophecy come true.
 
-    Each trial draws the hidden state, then Daniel's pair, his full box and
-    Sandu's first guess, then walks that (pair, full box) plan's compiled
-    tree from the drawn state.  Daniel's success rate is exactly 1 for every
-    seed; Sandu's first guess is a fair coin and his second follows from the
-    first.
+    Each (pair, full box) plan's tree is compiled and every leaf scored
+    before the first draw, so a leaf with no consistent answer raises
+    InconsistentHistory whatever the seed.  Each trial draws the hidden
+    state, then Daniel's pair, his full box and Sandu's first guess, then
+    walks that plan's tree from the drawn state and reads its leaf's
+    scores.  Daniel's success rate is exactly 1 for every seed; Sandu's
+    first guess is a fair coin and his second follows from the first.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = SplitMix64(seed)
     model = make_model("seer")
-    # Per plan: its tree, Daniel's full box and a score memo keyed by history index.
-    trees = [(compile_plan(model, _fable_plan(pair, full)), full, {}) for pair in PAIRS for full in pair]
+    # Per plan: its tree and its leaves' scores, indexed like tree.histories.
+    trees = []
+    for pair in PAIRS:
+        for full in pair:
+            tree = compile_plan(model, _fable_plan(pair, full))
+            trees.append((tree, [_fable_scores(history, full) for history in tree.histories]))
     thresholds = model.prior.thresholds
     daniel_ok = sandu_first_ok = sandu_second_ok = 0
     rows = []
     for trial in range(trials):
         prior = bisect_right(thresholds, rng.next_u64())
-        tree, full, scores = trees[2 * rng.randrange(3) + rng.randrange(2)]
+        tree, scores = trees[2 * rng.randrange(3) + rng.randrange(2)]
         guess_full = rng.randrange(2) == 0
-        leaf = tree.children[prior].sample(rng)
-        score = scores.get(leaf)
-        if score is None:
-            score = scores[leaf] = _fable_scores(tree.histories[leaf], full)
-        third_full, second_ok, this_daniel_ok = score
+        third_full, second_ok, this_daniel_ok = scores[tree.children[prior].sample(rng)]
         first_ok = guess_full == third_full
         daniel_ok += this_daniel_ok
         sandu_first_ok += first_ok

@@ -138,38 +138,37 @@ def load_scenario_file(path: str | Path) -> tuple[OrthoScenario, MarginalVector 
 
     Joint sets list only the maximal members.  Marginals are "num/den" strings
     aligned with the propositions list.  Malformed input raises
-    :class:`ScenarioError` with the offending line where available.
+    :class:`ScenarioError` naming the file, and the offending line where available.
     """
     path = Path(path)
-    text = path.read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(path.read_text())
+        if not isinstance(data, dict):
+            raise ScenarioError("expected a JSON object at top level")
+        try:
+            props = data["propositions"]
+            joint_sets = data["joint_sets"]
+        except KeyError as exc:
+            raise ScenarioError(f"missing key {exc.args[0]!r}") from exc
+        if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
+            raise ScenarioError("'propositions' must be a list of strings")
+        if not isinstance(joint_sets, list) or not all(
+            isinstance(s, list) and all(isinstance(p, str) for p in s) for s in joint_sets
+        ):
+            raise ScenarioError("'joint_sets' must be a list of lists of strings")
+        scenario = OrthoScenario.from_sets(props, joint_sets)
+
+        marginals = None
+        if "marginals" in data:
+            raw = data["marginals"]
+            if not isinstance(raw, list) or len(raw) != len(props):
+                raise ScenarioError("'marginals' must align with 'propositions'")
+            marginals = MarginalVector({p: parse_rational(str(r)) for p, r in zip(props, raw)})
+            marginals.validate_for(scenario)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path.name}:{exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path.name}: expected a JSON object at top level")
-    try:
-        props = data["propositions"]
-        joint_sets = data["joint_sets"]
-    except KeyError as exc:
-        raise ScenarioError(f"{path.name}: missing key {exc.args[0]!r}") from exc
-    if not isinstance(props, list) or not all(isinstance(p, str) for p in props):
-        raise ScenarioError(f"{path.name}: 'propositions' must be a list of strings")
-    if not isinstance(joint_sets, list) or not all(
-        isinstance(s, list) and all(isinstance(p, str) for p in s) for s in joint_sets
-    ):
-        raise ScenarioError(f"{path.name}: 'joint_sets' must be a list of lists of strings")
-    scenario = OrthoScenario.from_sets(props, joint_sets)
-
-    marginals = None
-    if "marginals" in data:
-        raw = data["marginals"]
-        if not isinstance(raw, list) or len(raw) != len(props):
-            raise ScenarioError(f"{path.name}: 'marginals' must align with 'propositions'")
-        try:
-            values = {p: parse_rational(str(r)) for p, r in zip(props, raw)}
-        except ValueError as exc:
-            raise ScenarioError(f"{path.name}: {exc}") from exc
-        marginals = MarginalVector(values)
-        marginals.validate_for(scenario)
+    except RecursionError:
+        raise ScenarioError(f"{path.name}: JSON nests too deeply") from None
+    except ValueError as exc:
+        raise ScenarioError(f"{path.name}: {exc}") from exc
     return scenario, marginals

@@ -4,11 +4,14 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orthobox import scenario
 from orthobox.behavior import (
     BehaviorError,
     BehaviorTable,
+    ExclusivityResult,
     MINUS,
     PLUS,
+    check_exclusivity,
     chsh,
     correlators_csv,
     enumerate_pr_boxes,
@@ -18,6 +21,7 @@ from orthobox.behavior import (
 from orthobox.models import make_model
 from orthobox.protocols import sweep_pr_interpretations
 from orthobox.rng import SplitMix64
+from orthobox.scenario import MarginalVector
 
 SETTINGS = (("a", "a'"), ("b", "b'"))
 OUTCOMES = ((PLUS, MINUS), (PLUS, MINUS))
@@ -314,3 +318,49 @@ class TestSerialization:
         assert len(lines) == 5
         assert lines[1].split(",")[2] in ("1", "-1")
 
+
+def exclusivity_by_min(marginals, graph):
+    """The reference rule: collect every violating maximal clique, report the least."""
+    violations = []
+    for clique in scenario.cliques(graph):
+        total = sum((marginals[v] for v in clique), Fraction(0))
+        if total > 1 and not any(all(v in graph[u] for v in clique) for u in graph):
+            violations.append((clique, total))
+    if not violations:
+        return ExclusivityResult(True, None, None)
+    clique, total = min(violations)
+    return ExclusivityResult(False, clique, total)
+
+
+class TestExclusivity:
+    def test_agrees_with_the_least_violation(self):
+        rng = SplitMix64(29)
+        violated = 0
+        for _ in range(400):
+            labels = "ABCDEFGH"[: 2 + rng.randrange(7)]
+            graph = {v: set() for v in labels}
+            for a, b in combinations(labels, 2):
+                if rng.randrange(3):
+                    graph[a].add(b)
+                    graph[b].add(a)
+            marginals = MarginalVector({v: Fraction(rng.randrange(5), 8) for v in labels})
+            expected = exclusivity_by_min(marginals, graph)
+            assert check_exclusivity(marginals, graph) == expected
+            violated += not expected.ok
+        assert 100 < violated < 300  # both verdicts well covered
+
+    def test_walk_stops_at_the_first_violation(self, monkeypatch):
+        walked = []
+        walk = scenario.cliques
+
+        def counting(graph):
+            for clique in walk(graph):
+                walked.append(clique)
+                yield clique
+
+        monkeypatch.setattr(scenario, "cliques", counting)
+        # The triangle ABC violates, and so does the later pair DE.
+        graph = {"A": "BC", "B": "AC", "C": "AB", "D": "E", "E": "D"}
+        marginals = MarginalVector({"A": "1/2", "B": "1/2", "C": "1/2", "D": "3/4", "E": "3/4"})
+        assert check_exclusivity(marginals, graph) == ExclusivityResult(False, ("A", "B", "C"), Fraction(3, 2))
+        assert walked == [(), ("A",), ("A", "B"), ("A", "B", "C")]

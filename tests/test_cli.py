@@ -304,6 +304,56 @@ def test_bad_input_leaves_no_output_file(capsys, tmp_path, argv, message):
     assert not target.exists()
 
 
+def scenario_bytes(propositions, joint_sets, marginals=None):
+    data = {"propositions": propositions, "joint_sets": joint_sets}
+    if marginals is not None:
+        data["marginals"] = marginals
+    return json.dumps(data).encode()
+
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        (
+            "huge.json",
+            scenario_bytes(["A", "B"], [["A", "B"]], ["1e400", "0"]),
+            f"marginal of A 1{'0' * 400} outside [0, 1]",
+        ),
+        (
+            "pair.json",
+            scenario_bytes(["A", "B"], [["A", "B"]], ["2/3", "2/3"]),
+            "orthogonal pair (A, B) has marginals summing to 4/3 > 1",
+        ),
+        ("twice.json", scenario_bytes(["A", "A"], []), "duplicate proposition labels"),
+        (
+            "unknown.json",
+            scenario_bytes(["A", "B"], [["A", "Z"]]),
+            "joint set ['A', 'Z'] mentions unknown propositions ['Z']",
+        ),
+        ("latin1.json", b"\xff", NOT_UTF8),
+        ("deep.json", b"[" * 100_000, "JSON nests too deeply"),
+        ("latin1.plan", b"\xff", NOT_UTF8),
+    ],
+    ids=[
+        "marginal-range",
+        "pair-bound",
+        "duplicate-labels",
+        "unknown-label",
+        "scenario-not-utf8",
+        "scenario-too-deep",
+        "plan-not-utf8",
+    ],
+)
+def test_loader_error_names_its_file(capsys, tmp_path, name, content, message):
+    path = tmp_path / name
+    path.write_bytes(content)
+    argv = ("check", str(path)) if name.endswith(".json") else ("simulate", "seer", "--plan", str(path))
+    assert run(capsys, *argv) == (2, "", f"error: {name}: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,7 +6,7 @@ import pytest
 
 from orthobox import cli, protocols
 from orthobox.behavior import chsh, is_pr_box, no_signalling_check
-from orthobox.models import InconsistentHistory, Model, compile_plan, enumerate_histories, make_model
+from orthobox.models import BOB, PAIRS, InconsistentHistory, Model, compile_plan, enumerate_histories, make_model
 from orthobox.protocols import (
     AliceStrategy,
     DEFAULT_PAIR_INTERPRETATION,
@@ -45,6 +45,22 @@ class ForbiddenAfter(Model):
         if state >= self.allowed:
             raise InconsistentHistory(f"no answer after {self.allowed} queries")
         coin = lambda st, side, box, q: [(True, state + 1, Fraction(1, 2)), (False, state + 1, Fraction(1, 2))]
+        return self.box_by_box(state, query, coin)
+
+
+class RareBobFault(Model):
+    """Stub model: each box a fair coin, but from the prior state "rare", of
+    mass 2**-40, no query of Bob's has a consistent answer."""
+
+    name = "stub"
+
+    def initial_states(self):
+        return [("common", 1 - Fraction(1, 2**40)), ("rare", Fraction(1, 2**40))]
+
+    def step(self, state, query):
+        if state == "rare" and query.side == BOB:
+            raise InconsistentHistory("no answer from the rare state")
+        coin = lambda st, side, box, q: [(True, st, Fraction(1, 2)), (False, st, Fraction(1, 2))]
         return self.box_by_box(state, query, coin)
 
 
@@ -281,6 +297,33 @@ class TestFable:
         with pytest.raises(ValueError):
             simulate_fable(0)
 
+    @pytest.mark.parametrize("trials", [1, 7500])
+    def test_each_leaf_scored_once(self, monkeypatch, trials):
+        model = make_model("seer")
+        leaves = [
+            (history, full)
+            for pair in PAIRS
+            for full in pair
+            for history in compile_plan(model, protocols._fable_plan(pair, full)).histories
+        ]
+        scored = []
+        score = protocols._fable_scores
+
+        def counting(history, full):
+            scored.append((history, full))
+            return score(history, full)
+
+        monkeypatch.setattr(protocols, "_fable_scores", counting)
+        simulate_fable(trials, seed=3)
+        assert scored == leaves
+
+    def test_rare_forbidden_leaf_raises_for_every_seed(self, monkeypatch):
+        # Its prior state has mass 2**-40, so no trial draws it.
+        monkeypatch.setattr(protocols, "make_model", lambda *args, **kwargs: RareBobFault())
+        for seed in range(10):
+            with pytest.raises(InconsistentHistory, match="^the fable's bob AB has no consistent answer$"):
+                simulate_fable(200, seed)
+
 
 class TestRealizePrBox:
     def test_seer_default_interpretation(self):
@@ -355,6 +398,18 @@ class TestForbiddenProtocolsAreTypedErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("inconsistent history: the fable's alice ")
+
+    @pytest.mark.parametrize(
+        "stub, query",
+        [(RareBobFault, "bob AB"), (lambda: ForbiddenAfter(0), "alice C")],
+        ids=["rare-bob", "first-query"],
+    )
+    def test_cli_fable_reports_any_forbidden_leaf(self, monkeypatch, capsys, stub, query):
+        monkeypatch.setattr(protocols, "make_model", lambda *args, **kwargs: stub())
+        assert cli.main(["fable", "--trials", "200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"inconsistent history: the fable's {query} has no consistent answer\n"
 
     def test_cli_assumptions_exit_one(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.models, "make_model", lambda *args, **kwargs: ForbiddenAfter(0))
