@@ -36,5 +36,5 @@ class BranchMassError(Fault):
 
 
 class CertificateError(Fault):
-    """A feasibility verdict whose own certificate does not hold (a solver fault)."""
+    """A verdict whose own certificate does not hold (a fault of the code that reached it)."""
     label = "certificate check failed"

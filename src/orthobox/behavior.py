@@ -95,15 +95,17 @@ class ExclusivityResult(NamedTuple):
 def check_exclusivity(marginals: scenario.MarginalVector, graph: scenario.Graph) -> ExclusivityResult:
     """Probabilities of pairwise orthogonal propositions must sum to at most 1.
 
-    Checks every maximal clique (sums over sub-cliques are dominated); on
-    failure reports the lexicographically first violating maximal clique,
-    the first that the walk of ``scenario.cliques`` meets.
+    Checks every maximal clique (sub-cliques are dominated) in integers over
+    the marginals' lcm denominator; on failure reports the first violating
+    one the lexicographic walk of ``scenario.cliques`` meets, the least.
     """
+    den = lcm(*(p.denominator for p in marginals.values.values()))
+    weights = {v: p.numerator * (den // p.denominator) for v, p in marginals.values.items()}
     for clique in scenario.cliques(graph):
-        total = sum((marginals[v] for v in clique), Fraction(0))
+        total = sum(weights[v] for v in clique)
         # Maximal: no proposition is orthogonal to every member.
-        if total > 1 and not any(all(v in graph[u] for v in clique) for u in graph):
-            return ExclusivityResult(False, clique, total)
+        if total > den and not any(all(v in graph[u] for v in clique) for u in graph):
+            return ExclusivityResult(False, clique, Fraction(total, den))
     return ExclusivityResult(True, None, None)
 
 

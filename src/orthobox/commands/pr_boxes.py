@@ -27,10 +27,10 @@ def run(args) -> int:
         return 0
 
     model = models.make_model(args.model, flavor=args.flavor)
-    interpretation = (
-        protocols.LSW_SINGLE_INTERPRETATION if args.model == "lsw" else protocols.DEFAULT_PAIR_INTERPRETATION
-    )
-    box = protocols.realize_pr_box(model, interpretation)
+    default = protocols.LSW_SINGLE_INTERPRETATION if args.model == "lsw" else protocols.DEFAULT_PAIR_INTERPRETATION
+    interpretations = (default,) if args.model == "lsw" else protocols.PAIR_INTERPRETATIONS
+    boxes = protocols.realize_pr_boxes(model, interpretations)
+    box = boxes[interpretations.index(default)]
     result = behavior.chsh(box)
     ns = behavior.no_signalling_check(box)
     print(f"model: {args.model}")
@@ -40,11 +40,10 @@ def run(args) -> int:
     print(f"no-signalling: {'yes' if ns.ok else 'NO'}")
     print(f"matches a canonical box: {'yes' if behavior.is_pr_box(box) else 'NO'}")
     if args.model in ("seer", "firefly"):
-        sweep = protocols.sweep_pr_interpretations(model)
-        seen = Counter(swept for _, swept in sweep)
-        all_pr = all(behavior.is_pr_box(b) for _, b in sweep)
+        seen = Counter(boxes)
+        all_pr = all(map(behavior.is_pr_box, boxes))
         print(
-            f"sweep over {len(sweep)} interpretations: {len(seen)} distinct boxes, "
+            f"sweep over {len(boxes)} interpretations: {len(seen)} distinct boxes, "
             f"multiplicities {sorted(seen.values())}, all canonical: {'yes' if all_pr else 'NO'}"
         )
         if not (len(seen) == 8 and all_pr):

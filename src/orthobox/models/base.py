@@ -90,18 +90,19 @@ class Transition(NamedTuple):
         return self.branches[bisect_right(self.thresholds, rng.next_u64())]
 
 
-def _transition(source: str, triples: Iterable[tuple], key: Callable) -> Transition:
-    """Build from ``(outcome, next_state, p)`` triples: nonnegative, summing to exactly 1."""
+def _transition(source: Callable[[], str], triples: Iterable[tuple], key: Callable) -> Transition:
+    """Build from ``(outcome, next_state, p)`` triples: nonnegative, summing to
+    exactly 1; ``source()`` names them in a fault's message, formatted only then."""
     branches, thresholds, total = [], [], Fraction(0)
     for outcome, state, p in triples:
         if p < 0:
-            raise BranchMassError(f"{source}: negative branch weight {p}")
+            raise BranchMassError(f"{source()}: negative branch weight {p}")
         if p:
             total += p
             branches.append((outcome, key(outcome), state, p))
             thresholds.append(-((-total.numerator << 64) // total.denominator))
     if total != 1:
-        raise BranchMassError(f"{source}: branch weights sum to {total}, not 1")
+        raise BranchMassError(f"{source()}: branch weights sum to {total}, not 1")
     return Transition(tuple(branches), tuple(thresholds))
 
 
@@ -127,7 +128,7 @@ class Model:
     @cached_property
     def prior(self) -> Transition:
         """``initial_states()`` as a Transition, computed once per model instance."""
-        return _transition(f"{self.name} prior", (((), *branch) for branch in self.initial_states()), lambda _: None)
+        return _transition(lambda: f"{self.name} prior", (((), *b) for b in self.initial_states()), lambda _: None)
 
     @cached_property
     def _transitions(self) -> dict:
@@ -144,7 +145,7 @@ class Model:
             except InconsistentHistory as exc:
                 entry = str(exc)
             else:
-                source = f"{self.name} {query.side} {query.target} from {state}"
+                source = lambda: f"{self.name} {query.side} {query.target} from {state}"
                 entry = _transition(source, triples, lambda outcome: self.outcome_key(query, outcome))
             self._transitions[key] = entry
         if isinstance(entry, str):

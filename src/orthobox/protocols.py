@@ -433,38 +433,37 @@ LSW_SINGLE_INTERPRETATION: Interpretation = (
 
 PR_REALIZATION_SETTINGS = (("b", "b'"), ("a", "a'"))
 
+# All sixteen readings of the pair queries: each setting interpreted as either box of its query.
+PAIR_INTERPRETATIONS: tuple[Interpretation, ...] = tuple(
+    ((("AB", a1), ("BC", a2)), (("AB", b1), ("CA", b2))) for a1, a2, b1, b2 in product("AB", "BC", "AB", "CA")
+)
 
-def realize_pr_box(model: Model, interpretation: Interpretation | None = None) -> behavior.BehaviorTable:
-    """Read one box out of each party's query and tabulate the +-1 outcomes.
 
-    Full or glowing counts as +1.  The result is a full conditional table
-    over the two settings per party, computed by exact enumeration.
-    """
-    if interpretation is None:
-        interpretation = DEFAULT_PAIR_INTERPRETATION
-    for party, side in enumerate((ALICE, BOB)):
-        for target, box in interpretation[party]:
-            # Admissibility is checked when the plans are enumerated.
-            if box not in Query(side, target).boxes:
-                raise ValueError(f"box {box} is not part of target {target}")
+def realize_pr_boxes(model: Model, interpretations: Sequence[Interpretation]) -> list[behavior.BehaviorTable]:
+    """Per reading, read one box out of each party's query and tabulate the
+    +-1 outcomes (full or glowing is +1) as a full conditional table over
+    two settings per party.  Every box is checked against its target first;
+    then each distinct (Alice target, Bob target) plan is enumerated once,
+    in the order the readings name it, which checks its admissibility, and
+    each table sums its entries from those exact joint distributions."""
+    for interpretation in interpretations:
+        for side, readings in zip((ALICE, BOB), interpretation):
+            for target, box in readings:
+                if box not in Query(side, target).boxes:
+                    raise ValueError(f"box {box} is not part of target {target}")
 
     plus, minus = behavior.PLUS, behavior.MINUS
-    table: dict[tuple[str, str], dict[tuple[int, int], Fraction]] = {}
-    for (s_a, (target_a, box_a)), (s_b, (target_b, box_b)) in product(
-        zip(PR_REALIZATION_SETTINGS[0], interpretation[0]), zip(PR_REALIZATION_SETTINGS[1], interpretation[1])
-    ):
-        table[(s_a, s_b)] = _fresh_distribution(
-            model,
-            (PlanStep(ALICE, target_a), PlanStep(BOB, target_b)),
-            lambda h: tuple(plus if dict(o)[b] else minus for (_, o), b in zip(h.steps, (box_a, box_b))),
-        )
-    return behavior.BehaviorTable(PR_REALIZATION_SETTINGS, ((plus, minus), (plus, minus)), table)
-
-
-def sweep_pr_interpretations(model: Model) -> list[tuple[Interpretation, behavior.BehaviorTable]]:
-    """All sixteen readings: each setting interpreted as either box of its query."""
-    results = []
-    for a1, a2, b1, b2 in product("AB", "BC", "AB", "CA"):
-        interp: Interpretation = ((("AB", a1), ("BC", a2)), (("AB", b1), ("CA", b2)))
-        results.append((interp, realize_pr_box(model, interp)))
-    return results
+    joints: dict[tuple[str, str], dict] = {}
+    tables = []
+    for interpretation in interpretations:
+        table: dict[tuple[str, str], dict[tuple[int, int], Fraction]] = {}
+        for (s_a, (t_a, box_a)), (s_b, (t_b, box_b)) in product(*map(zip, PR_REALIZATION_SETTINGS, interpretation)):
+            if (t_a, t_b) not in joints:
+                plan = (PlanStep(ALICE, t_a), PlanStep(BOB, t_b))
+                joints[t_a, t_b] = _fresh_distribution(model, plan, lambda h: (h.steps[0][1], h.steps[1][1]))
+            entry = table[s_a, s_b] = {}
+            for (outcome_a, outcome_b), p in joints[t_a, t_b].items():
+                signs = (plus if dict(outcome_a)[box_a] else minus, plus if dict(outcome_b)[box_b] else minus)
+                entry[signs] = entry.get(signs, 0) + p
+        tables.append(behavior.BehaviorTable(PR_REALIZATION_SETTINGS, ((plus, minus), (plus, minus)), table))
+    return tables

@@ -26,6 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
+from . import CertificateError
 from .rational import format_decimal, format_rational
 
 
@@ -88,7 +89,7 @@ def _worst_case(a: int, b: int, c: int, n: int) -> tuple[Fraction, Fraction, Fra
     capped = a * n > nb * nc
     gap_num, gap_den = (a + b + c - n, n) if capped else (a * b * c, n * nb * nc)
     if gap_num <= 0:
-        raise TheoremError(f"signalling gap {format_rational(Fraction(gap_num, gap_den))} is not positive")
+        raise CertificateError(f"signalling gap {format_rational(Fraction(gap_num, gap_den))} is not positive")
     if not capped:
         d = nb * nc
         return Fraction(a * n, d), _ZERO, Fraction(a * (nb - c), d), Fraction(gap_num, gap_den)

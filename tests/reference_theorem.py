@@ -11,12 +11,14 @@ The per-point sweep: each grid point is a validated ``TripleMarginals``; the
 worst-case conditionals and the gap come from the marginals' formulas in
 ``Fraction`` arithmetic: raw beta = p1 / ((1 - p2)(1 - p3)), and when that
 exceeds 1, beta = 1 and alpha = (p1 / (1 - p2) - (1 - p3)) / p3; the gap is
-p1 - beta (1 - p2 - p3), which must be positive.
+p1 - beta (1 - p2 - p3), which must be positive: one that is not is a
+``CertificateError``, as in the library.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
+from orthobox import CertificateError
 from orthobox.rational import format_rational
 from orthobox.theorem import AlphaBeta, SweepRow, TheoremError, TripleMarginals
 
@@ -108,7 +110,7 @@ def worst_case_params(t) -> AlphaBeta:
 def gap(t, worst) -> Fraction:
     value = t.p1 - worst.beta * (1 - t.p2 - t.p3)
     if value <= 0:
-        raise TheoremError(f"signalling gap {format_rational(value)} is not positive")
+        raise CertificateError(f"signalling gap {format_rational(value)} is not positive")
     return value
 
 

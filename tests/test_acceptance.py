@@ -33,10 +33,11 @@ from orthobox.models import (
     parse_plan,
 )
 from orthobox.protocols import (
+    DEFAULT_PAIR_INTERPRETATION,
+    PAIR_INTERPRETATIONS,
     assumption_report,
-    realize_pr_box,
+    realize_pr_boxes,
     simulate_fable,
-    sweep_pr_interpretations,
 )
 from orthobox.quantumref import (
     SpinOneFrame,
@@ -216,14 +217,14 @@ def test_criterion_07_pr_boxes():
     ok = True
     for name in ("seer", "firefly"):
         model = make_model(name)
-        box = realize_pr_box(model)
+        sweep = realize_pr_boxes(model, PAIR_INTERPRETATIONS)
+        box = sweep[PAIR_INTERPRETATIONS.index(DEFAULT_PAIR_INTERPRETATION)]
         if chsh(box).value != 4 or not no_signalling_check(box).ok or not is_pr_box(box):
             ok = False
-        sweep = sweep_pr_interpretations(model)
-        counts = Counter(swept for _, swept in sweep)
+        counts = Counter(sweep)
         if len(sweep) != 16 or len(counts) != 8 or sorted(counts.values()) != [2] * 8:
             ok = False
-        if not all(is_pr_box(b) and no_signalling_check(b).ok for _, b in sweep):
+        if not all(is_pr_box(b) and no_signalling_check(b).ok for b in sweep):
             ok = False
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 10.0

@@ -19,7 +19,7 @@ from orthobox.behavior import (
     no_signalling_check,
 )
 from orthobox.models import make_model
-from orthobox.protocols import sweep_pr_interpretations
+from orthobox.protocols import PAIR_INTERPRETATIONS, realize_pr_boxes
 from orthobox.rng import SplitMix64
 from orthobox.scenario import MarginalVector
 
@@ -124,9 +124,9 @@ class TestValueSemantics:
         assert flipped != box
 
     def test_seer_sweep_collapses_to_eight_keys(self):
-        sweep = sweep_pr_interpretations(make_model("seer"))
+        sweep = realize_pr_boxes(make_model("seer"), PAIR_INTERPRETATIONS)
         assert len(sweep) == 16
-        assert len(set(box for _, box in sweep)) == 8
+        assert len(set(sweep)) == 8
 
 
 class TestNoSignalling:
@@ -343,9 +343,13 @@ class TestExclusivity:
                 if rng.randrange(3):
                     graph[a].add(b)
                     graph[b].add(a)
-            marginals = MarginalVector({v: Fraction(rng.randrange(5), 8) for v in labels})
+            # Mixed denominators, so the integer sums run over a common one.
+            dens = [(2, 3, 5, 7, 8, 9, 12)[rng.randrange(7)] for _ in labels]
+            marginals = MarginalVector({v: Fraction(rng.randrange(d // 2 + 1), d) for v, d in zip(labels, dens)})
             expected = exclusivity_by_min(marginals, graph)
-            assert check_exclusivity(marginals, graph) == expected
+            got = check_exclusivity(marginals, graph)
+            assert got == expected
+            assert got.ok or type(got.total) is Fraction
             violated += not expected.ok
         assert 100 < violated < 300  # both verdicts well covered
 

@@ -84,6 +84,15 @@ class TestVerifyTheorem:
         assert lines[0] == "p1,p2,p3,beta_worst,alpha_worst,bob_p1,gap"
         assert len(lines) > 1
 
+    def test_nonpositive_gap_is_a_certificate_fault(self, capsys, monkeypatch):
+        # No valid grid point has p1 = 0, so the sweep is patched to reach one.
+        from orthobox import theorem
+
+        monkeypatch.setattr(theorem, "sweep_gap", lambda denominator: [theorem._worst_case(0, 1, 1, 3)])
+        code, out, err = run(capsys, "verify-theorem", "--grid", "3")
+        assert (code, out) == (1, "")
+        assert err == "certificate check failed: signalling gap 0 is not positive\n"
+
 
 class TestSimulate:
     def test_bundled_plan_enumeration(self, capsys):

@@ -3,27 +3,41 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
 from orthobox import cli, protocols
-from orthobox.behavior import chsh, is_pr_box, no_signalling_check
-from orthobox.models import BOB, PAIRS, InconsistentHistory, Model, compile_plan, enumerate_histories, make_model
+from orthobox.behavior import MINUS, PLUS, BehaviorTable, chsh, is_pr_box, no_signalling_check
+from orthobox.models import (
+    ALICE,
+    BOB,
+    FLAVORS,
+    PAIRS,
+    InconsistentHistory,
+    Model,
+    PlanStep,
+    compile_plan,
+    enumerate_histories,
+    make_model,
+)
 from orthobox.protocols import (
     AliceStrategy,
     DEFAULT_PAIR_INTERPRETATION,
     LSW_SINGLE_INTERPRETATION,
+    PAIR_INTERPRETATIONS,
+    PR_REALIZATION_SETTINGS,
     assumption_report,
     bob_marginal,
     detect_signalling,
     first_outcomes,
-    realize_pr_box,
+    realize_pr_boxes,
     simulate_fable,
-    sweep_pr_interpretations,
 )
 from orthobox.protocols import _interleavings
 from orthobox.protocols import test_assumption_a as assumption_a
 from orthobox.protocols import test_assumption_b as assumption_b
 from orthobox.protocols import test_assumption_c as assumption_c
 from reference_signalling import enumerate_strategies
+from test_properties import seer_marginals
 
 FABLE_FORCE_FULL = AliceStrategy("C", (("full", "B"), ("empty", "A")))
 FABLE_FORCE_EMPTY = AliceStrategy("C", (("full", "A"), ("empty", "B")))
@@ -325,49 +339,117 @@ class TestFable:
                 simulate_fable(200, seed)
 
 
+def realize_one(model, interpretation):
+    """One reading's table the way it was built before all readings shared
+    their plans: each setting pair's plan enumerated afresh and its histories
+    tabulated in order."""
+    table = {}
+    for (s_a, (target_a, box_a)), (s_b, (target_b, box_b)) in product(
+        zip(PR_REALIZATION_SETTINGS[0], interpretation[0]), zip(PR_REALIZATION_SETTINGS[1], interpretation[1])
+    ):
+        entry = table[s_a, s_b] = {}
+        for history in enumerate_histories(compile_plan(model, (PlanStep(ALICE, target_a), PlanStep(BOB, target_b)))):
+            assert not history.forbidden
+            (_, outcome_a), (_, outcome_b) = history.steps
+            signs = (PLUS if dict(outcome_a)[box_a] else MINUS, PLUS if dict(outcome_b)[box_b] else MINUS)
+            entry[signs] = entry.get(signs, Fraction(0)) + history.probability
+    return BehaviorTable(PR_REALIZATION_SETTINGS, ((PLUS, MINUS), (PLUS, MINUS)), table)
+
+
+def assert_same_as_per_reading(model, interpretations):
+    boxes = realize_pr_boxes(model, interpretations)
+    assert len(boxes) == len(interpretations)
+    for interpretation, box in zip(interpretations, boxes):
+        expected = realize_one(model, interpretation)
+        assert box == expected, interpretation
+        # Entry order too, so nothing printed from a table can differ.
+        assert [list(d.items()) for d in box.table.values()] == [list(d.items()) for d in expected.table.values()]
+
+
+def counting_compiles(monkeypatch) -> list:
+    """The plans ``protocols`` compiles from now on, in order."""
+    compiled = []
+    compile_ = protocols.compile_plan
+
+    def counting(model, plan):
+        compiled.append(tuple(plan))
+        return compile_(model, plan)
+
+    monkeypatch.setattr(protocols, "compile_plan", counting)
+    return compiled
+
+
 class TestRealizePrBox:
     def test_seer_default_interpretation(self):
-        box = realize_pr_box(make_model("seer"))
+        [box] = realize_pr_boxes(make_model("seer"), [DEFAULT_PAIR_INTERPRETATION])
         assert chsh(box).value == 4
         assert no_signalling_check(box).ok
         assert is_pr_box(box)
 
     def test_firefly_same_construction(self):
-        box = realize_pr_box(make_model("firefly"))
+        [box] = realize_pr_boxes(make_model("firefly"), [DEFAULT_PAIR_INTERPRETATION])
         assert chsh(box).value == 4
         assert is_pr_box(box)
 
     def test_lsw_single_query_realization(self):
-        box = realize_pr_box(make_model("lsw"), LSW_SINGLE_INTERPRETATION)
+        [box] = realize_pr_boxes(make_model("lsw"), [LSW_SINGLE_INTERPRETATION])
         assert chsh(box).value == 4
         assert is_pr_box(box)
         assert box.correlator(("b", "a")) == 1  # both read box A
 
     def test_sweep_yields_each_box_twice(self):
+        assert len(PAIR_INTERPRETATIONS) == len(set(PAIR_INTERPRETATIONS)) == 16
+        assert DEFAULT_PAIR_INTERPRETATION in PAIR_INTERPRETATIONS
         for name in ("seer", "firefly"):
-            sweep = sweep_pr_interpretations(make_model(name))
+            sweep = realize_pr_boxes(make_model(name), PAIR_INTERPRETATIONS)
             assert len(sweep) == 16
-            counts = Counter(box for _, box in sweep)
+            counts = Counter(sweep)
             assert len(counts) == 8
             assert sorted(counts.values()) == [2] * 8
-            assert all(is_pr_box(box) for _, box in sweep)
-            assert all(no_signalling_check(box).ok for _, box in sweep)
+            assert all(is_pr_box(box) for box in sweep)
+            assert all(no_signalling_check(box).ok for box in sweep)
 
-    def test_interpretation_box_must_belong_to_target(self):
-        with pytest.raises(ValueError, match="not part of"):
-            realize_pr_box(
-                make_model("seer"),
-                ((("AB", "C"), ("BC", "B")), DEFAULT_PAIR_INTERPRETATION[1]),
-            )
+    def test_interpretation_box_must_belong_to_target(self, monkeypatch):
+        compiled = counting_compiles(monkeypatch)
+        bad = ((("AB", "C"), ("BC", "B")), DEFAULT_PAIR_INTERPRETATION[1])
+        with pytest.raises(ValueError, match="^box C is not part of target AB$"):
+            realize_pr_boxes(make_model("seer"), [DEFAULT_PAIR_INTERPRETATION, bad])
+        assert compiled == []  # every reading is checked before the first plan runs
 
     def test_inadmissible_target_rejected(self):
         from orthobox.models import InadmissibleQuery
 
         with pytest.raises(InadmissibleQuery):
-            realize_pr_box(
+            realize_pr_boxes(
                 make_model("firefly"),
-                ((("A", "A"), ("BC", "B")), DEFAULT_PAIR_INTERPRETATION[1]),
+                [((("A", "A"), ("BC", "B")), DEFAULT_PAIR_INTERPRETATION[1])],
             )
+
+    @pytest.mark.parametrize("name", ["seer", "firefly", "lsw"])
+    def test_cli_compiles_each_plan_once(self, name, monkeypatch, capsys):
+        compiled = counting_compiles(monkeypatch)
+        assert cli.main(["pr-boxes", "--model", name]) == 0
+        assert len(compiled) == len(set(compiled)) == 4
+
+
+class TestRealizationMatchesPerReading:
+    """Each table read from the shared joint distributions equals the one a
+    per-reading enumeration builds, entry order included."""
+
+    def test_seer(self):
+        assert_same_as_per_reading(make_model("seer"), PAIR_INTERPRETATIONS)
+
+    @settings(max_examples=6, deadline=None)
+    @given(marginals=seer_marginals())
+    def test_seer_at_random_marginals(self, marginals):
+        assert_same_as_per_reading(make_model("seer", marginals=marginals), PAIR_INTERPRETATIONS)
+
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_firefly(self, flavor):
+        assert_same_as_per_reading(make_model("firefly", flavor=flavor), PAIR_INTERPRETATIONS)
+
+    def test_lsw(self):
+        assert_same_as_per_reading(make_model("lsw"), [LSW_SINGLE_INTERPRETATION])
 
 
 class TestForbiddenProtocolsAreTypedErrors:
@@ -384,13 +466,18 @@ class TestForbiddenProtocolsAreTypedErrors:
             detect_signalling(ForbiddenAfter(0))
 
     def test_realization(self):
-        with pytest.raises(InconsistentHistory, match="cannot be forbidden"):
-            realize_pr_box(ForbiddenAfter(1))
+        with pytest.raises(InconsistentHistory, match=r"^plan \[alice AB; bob AB\] cannot be forbidden$"):
+            realize_pr_boxes(ForbiddenAfter(1), PAIR_INTERPRETATIONS)
+        with pytest.raises(InconsistentHistory, match=r"^plan \[alice A; bob A\] cannot be forbidden$"):
+            realize_pr_boxes(ForbiddenAfter(1), [LSW_SINGLE_INTERPRETATION])
 
     def test_cli_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.models, "make_model", lambda *args, **kwargs: ForbiddenAfter(1))
-        assert cli.main(["pr-boxes", "--model", "seer"]) == 1
-        assert "cannot be forbidden" in capsys.readouterr().err
+        for name, plan in (("seer", "alice AB; bob AB"), ("lsw", "alice A; bob A")):
+            assert cli.main(["pr-boxes", "--model", name]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"inconsistent history: plan [{plan}] cannot be forbidden\n"
 
     def test_cli_fable_exits_one(self, monkeypatch, capsys):
         monkeypatch.setattr(protocols, "make_model", lambda *args, **kwargs: ForbiddenAfter(1))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orthobox import CertificateError, theorem
 from orthobox.theorem import (
     AlphaBeta,
     TheoremError,
@@ -180,6 +181,13 @@ class TestSignallingGap:
     def test_zero_marginal_rejected(self):
         with pytest.raises(TheoremError):
             TripleMarginals(Fraction(0), Fraction(1, 2), Fraction(1, 2))
+
+    def test_nonpositive_gap_is_a_certificate_fault(self):
+        # Valid marginals make every gap positive, so one that is not is the
+        # program's fault (exit 1), not the caller's input error (exit 2).
+        with pytest.raises(CertificateError, match="^signalling gap 0 is not positive$") as raised:
+            theorem._worst_case(0, 1, 1, 3)
+        assert not isinstance(raised.value, ValueError)
 
     def test_triple_validation_messages(self):
         with pytest.raises(TheoremError, match=r"^p2 = 1 not strictly inside \(0, 1\)$"):

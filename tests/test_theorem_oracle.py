@@ -1,6 +1,6 @@
 """The integer theorem sweep against the per-point ``Fraction`` path it
 replaced (``reference_theorem.py``): the same rows, the same worst cases and
-gaps on random rational triples, and the same ``TheoremError`` texts."""
+gaps on random rational triples, and the same error texts."""
 
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 import reference_theorem as reference
 from orthobox import theorem
+from orthobox import CertificateError
 from orthobox.theorem import TheoremError, TripleMarginals, signalling_gap, sweep_gap, worst_case_params
 from test_theorem import rational_triples
 
@@ -66,8 +67,8 @@ def test_invalid_triple_same_error(triple):
 def test_nonpositive_gap_same_error(a, b, c, n):
     # Only a zero p1 reaches the check; TripleMarginals rejects it first.
     point = SimpleNamespace(p1=Fraction(a, n), p2=Fraction(b, n), p3=Fraction(c, n))
-    with pytest.raises(TheoremError) as expected:
+    with pytest.raises(CertificateError) as expected:
         reference.signalling_gap(point)
-    with pytest.raises(TheoremError) as got:
+    with pytest.raises(CertificateError) as got:
         theorem._worst_case(a, b, c, n)
     assert str(got.value) == str(expected.value) == "signalling gap 0 is not positive"
